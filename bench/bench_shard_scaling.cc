@@ -10,10 +10,6 @@
 // simulated device time) should rise ~linearly with T until the shards
 // saturate: >= 5x at T=8 vs T=1 for every FTL.
 //
-// A second table compares the two MPSC queue backends (Vyukov lock-free
-// vs mutex+deque) at T=8; on the simulated-time metric they must agree,
-// since backend cost is host-side only.
-//
 // Flags: --tiny   CI smoke scale (exit 0 regardless of the speedup gate;
 //                 invariants are still CHECKed)
 //        --json P write machine-readable results to path P
@@ -90,12 +86,11 @@ FtlFactory FactoryFor(const std::string& name) {
 }
 
 ParallelDriverReport RunOne(const std::string& name, uint32_t threads,
-                            uint64_t total_requests, bool lock_free) {
+                            uint64_t total_requests) {
   ShardedFtlOptions options;
   options.geometry = BenchGeometry();
   options.num_shards = kShards;
   options.config = ConfigFor(name);
-  options.lock_free_queue = lock_free;
   ShardedFtl sharded(options, FactoryFor(name));
 
   const uint64_t capacity = sharded.shard_map().TotalLpns();
@@ -126,7 +121,6 @@ ParallelDriverReport RunOne(const std::string& name, uint32_t threads,
 struct SweepRow {
   std::string ftl;
   uint32_t threads = 0;
-  bool lock_free = true;
   ParallelDriverReport report;
   double speedup = 1.0;  // achieved_kiops vs the same FTL's T=1 run
 };
@@ -147,12 +141,11 @@ void WriteJson(const char* path, uint64_t total_requests,
     const SweepRow& r = rows[i];
     std::fprintf(
         f,
-        "    {\"ftl\": \"%s\", \"threads\": %u, \"queue\": \"%s\", "
+        "    {\"ftl\": \"%s\", \"threads\": %u, "
         "\"offered_kiops\": %.3f, \"achieved_kiops\": %.3f, "
         "\"speedup_vs_1t\": %.3f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
         "\"queue_full_retries\": %llu}%s\n",
-        r.ftl.c_str(), r.threads, r.lock_free ? "lockfree" : "mutex",
-        r.report.offered_kiops, r.report.achieved_kiops, r.speedup,
+        r.ftl.c_str(), r.threads, r.report.offered_kiops, r.report.achieved_kiops, r.speedup,
         r.report.p50_us, r.report.p99_us,
         static_cast<unsigned long long>(r.report.queue_full_retries),
         i + 1 < rows.size() ? "," : "");
@@ -214,7 +207,7 @@ int main(int argc, char** argv) {
       SweepRow row;
       row.ftl = name;
       row.threads = threads;
-      row.report = RunOne(name, threads, kTotalRequests, /*lock_free=*/true);
+      row.report = RunOne(name, threads, kTotalRequests);
       if (threads == 1) base_kiops = row.report.achieved_kiops;
       row.speedup = base_kiops > 0 ? row.report.achieved_kiops / base_kiops : 0;
       if (threads == 8) speedup8 = row.speedup;
@@ -231,26 +224,6 @@ int main(int argc, char** argv) {
     gates.emplace_back(name, speedup8);
   }
   table.Print();
-
-  // Queue-backend comparison at T=8: simulated-time throughput must be
-  // backend-agnostic (the backend only changes host-side handoff cost).
-  std::printf("\nMPSC queue backends at T=8 (simulated-time kiops):\n");
-  TablePrinter backends({"FTL", "lockfree kiops", "mutex kiops"});
-  for (const char* name : kFtls) {
-    double lockfree_kiops = 0;
-    for (const SweepRow& r : rows) {
-      if (r.ftl == name && r.threads == 8) lockfree_kiops = r.report.achieved_kiops;
-    }
-    SweepRow row;
-    row.ftl = name;
-    row.threads = 8;
-    row.lock_free = false;
-    row.report = RunOne(name, 8, kTotalRequests, /*lock_free=*/false);
-    backends.AddRow({name, TablePrinter::Fmt(lockfree_kiops, 3),
-                     TablePrinter::Fmt(row.report.achieved_kiops, 3)});
-    rows.push_back(std::move(row));
-  }
-  backends.Print();
 
   bool all_pass = true;
   for (const auto& [name, speedup8] : gates) {

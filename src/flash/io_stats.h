@@ -19,6 +19,7 @@
 
 #include "flash/latency.h"
 #include "flash/latency_histogram.h"
+#include "util/check.h"
 
 namespace gecko {
 
@@ -184,7 +185,8 @@ class IoStats {
   }
   /// An in-flight request completed (or was aborted by a power failure).
   void OnHostComplete() {
-    if (host_inflight_ > 0) --host_inflight_;
+    GECKO_CHECK_GT(host_inflight_, 0u) << "host completion without admission";
+    --host_inflight_;
   }
   /// An admission was refused because the queue was at its in-flight cap.
   void OnHostQueueFull() { ++host_queue_full_; }
@@ -216,7 +218,8 @@ class IoStats {
   }
   /// An in-flight miss fetch completed (or was aborted by a power failure).
   void OnMissFetchDone() {
-    if (miss_fetch_inflight_ > 0) --miss_fetch_inflight_;
+    GECKO_CHECK_GT(miss_fetch_inflight_, 0u) << "miss fetch done without issue";
+    --miss_fetch_inflight_;
   }
   /// A missing extent coalesced onto an already-in-flight fetch.
   void OnCoalescedMiss() { ++coalesced_misses_; }

@@ -6,7 +6,9 @@
 #include "util/check.h"
 
 namespace gecko {
+namespace {
 
+/// Latency-accounting class of a request op.
 RequestClass RequestClassOf(IoOp op) {
   switch (op) {
     case IoOp::kWrite: return RequestClass::kWrite;
@@ -16,6 +18,8 @@ RequestClass RequestClassOf(IoOp op) {
   }
   return RequestClass::kWrite;
 }
+
+}  // namespace
 
 AsyncEngine::AsyncEngine(AsyncHost* host, FlashDevice* device,
                          uint32_t queue_depth)

@@ -173,7 +173,6 @@ class AsyncEngine {
   uint32_t in_flight() const {
     return static_cast<uint32_t>(requests_.size());
   }
-  bool idle() const { return requests_.empty(); }
   /// Device time of the earliest pending engine event — a dispatched
   /// request's completion or an in-flight translation fetch whose parked
   /// extents must be replayed (+infinity when neither is pending).
@@ -188,8 +187,9 @@ class AsyncEngine {
   uint32_t queue_depth() const { return queue_depth_; }
   const AsyncEngineStats& stats() const { return stats_; }
 
-  /// Structural validation shared with the synchronous inline path:
-  /// flushes carry no extents; everything else carries at least one.
+  /// Structural validation, shared with the sharded front end (which
+  /// rejects a malformed request before fanning it out): flushes carry no
+  /// extents; everything else carries at least one.
   static Status Validate(const IoRequest& request);
 
  private:
@@ -274,10 +274,6 @@ class AsyncEngine {
   bool pipeline_open_ = false;
   AsyncEngineStats stats_;
 };
-
-/// Latency-accounting class of a request op (shared by the engine and the
-/// legacy inline path).
-RequestClass RequestClassOf(IoOp op);
 
 }  // namespace gecko
 

@@ -58,23 +58,11 @@ Status BaseFtl::Submit(IoRequest& request, IoResult* result) {
   IoResult& res = result != nullptr ? *result : scratch;
   res = IoResult();
 
-  // Caller-managed batch window (a driver stacking several requests into
-  // one window): the window's owner controls the clock, so there is no
-  // completion time to wait for — service inline, exactly the pre-async
-  // semantics. Mixing such windows with in-flight async requests is
-  // unsupported (the engine's drain barrier would close a window it does
-  // not own), hence the engine-idle condition.
-  if (engine_.idle() && device_->in_batch()) {
-    res.status = AsyncEngine::Validate(request);
-    if (res.status.ok()) ServiceRequest(request, &res);
-    return res.status;
-  }
-
   // Thin wrapper over the async path: submit, then run the reactor to
   // completion. The engine opens a batch window around the dispatch, so a
   // lone synchronous request still completes in max-per-channel time and
-  // records the same one-sample-per-request latency as before. If other
-  // async requests are in flight, this acts as a barrier for them too.
+  // records one latency sample. If other async requests are in flight,
+  // this acts as a barrier for them too.
   bool done = false;
   CompletionCb capture = [&res, &done](const IoResult& r,
                                        const AsyncCompletion&) {
@@ -96,51 +84,40 @@ Status BaseFtl::Submit(IoRequest& request, IoResult* result) {
   return res.status;
 }
 
-void BaseFtl::ServiceRequest(IoRequest& request, IoResult* result) {
-  const size_t n = request.extents.size();
+void BaseFtl::ExecuteRequest(IoRequest& request, IoResult* result,
+                             MissSink* miss_sink) {
   if (request.op == IoOp::kFlush) {
     ++counters_.flushes;
     FlushAll();
     return;
   }
+  const size_t n = request.extents.size();
   result->extent_status.assign(n, Status::Ok());
   if (n > 1) {
     ++counters_.batches;
     counters_.batched_pages += n;
   }
-
-  switch (request.op) {
-    case IoOp::kWrite:
-      if (n == 1) {
-        result->extent_status[0] = WriteExtent(request.extents[0].lpn,
-                                               request.extents[0].payload,
-                                               /*tombstone=*/false,
-                                               /*batched=*/false);
-      } else {
-        WriteBatch(request, result, /*trim=*/false);
-      }
-      break;
-    case IoOp::kTrim:
-      // Trims of any size run the batched path: even a single trim
-      // benefits from the deferred-identification + grouped-sync shape,
-      // and the tombstone it writes makes the discard crash-durable.
-      WriteBatch(request, result, /*trim=*/true);
-      break;
-    case IoOp::kRead:
-      result->payloads.assign(n, 0);
-      // With a miss sink armed, even single-extent reads take the batched
-      // path: parking is expressed per extent index, and the two paths
-      // charge the same one translation read per miss.
-      if (n == 1 && miss_sink_ == nullptr) {
-        result->extent_status[0] = ReadOne(request.extents[0].lpn,
-                                           &result->payloads[0]);
-      } else {
-        ReadBatch(request, result);
-      }
-      break;
-    case IoOp::kFlush:
-      break;  // handled above
+  if (request.op == IoOp::kRead) {
+    result->payloads.assign(n, 0);
+    ReadBatch(request, result, miss_sink);
+  } else {
+    WriteBatch(request, result, /*trim=*/request.op == IoOp::kTrim);
   }
+}
+
+bool BaseFtl::CommitsEagerly(const IoRequest& request) const {
+  // Commit each translation-page group eagerly only when a write/trim
+  // batch far overflows the mapping cache. A batch the cache can absorb
+  // loses nothing by staying lazy — eviction- and checkpoint-driven
+  // synchronization groups dirty entries over a window of roughly C ops,
+  // at least as wide as the request. A much larger batch would instead
+  // see its entries evicted one by one, each paying a nearly-private
+  // synchronization; streaming the groups and committing each touched
+  // translation page once per request caps the cost at the number of
+  // touched pages. The 2C margin keeps the boundary regime (where both
+  // schemes group about equally well) on the lazy path.
+  return (request.op == IoOp::kWrite || request.op == IoOp::kTrim) &&
+         request.extents.size() >= 2 * cache_.capacity();
 }
 
 std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
@@ -161,8 +138,7 @@ std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
   // Cache-overflowing write/trim batches commit each touched translation
   // page inline (WriteBatch's eager commit): two such commits of one
   // tpage — or a commit racing a miss-path read of it — must serialize.
-  const bool eager_commit =
-      write_like && request.extents.size() >= 2 * cache_.capacity();
+  const bool eager_commit = CommitsEagerly(request);
 
   std::vector<std::pair<uint64_t, bool>> lpns;    // (lpn, exclusive)
   std::vector<std::pair<uint64_t, bool>> tpages;  // (tpage, exclusive)
@@ -198,10 +174,7 @@ std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
 }
 
 Status BaseFtl::WriteExtent(Lpn lpn, uint64_t payload, bool tombstone,
-                            bool batched) {
-  if (lpn >= device_->geometry().NumLogicalPages()) {
-    return Status::InvalidArgument("lpn beyond logical capacity");
-  }
+                            bool lone) {
   // Sticky read-only mode: no spare capacity is left for out-of-place
   // writes, and a trim programs a tombstone page, so both are refused.
   if (degraded_) {
@@ -260,16 +233,16 @@ Status BaseFtl::WriteExtent(Lpn lpn, uint64_t payload, bool tombstone,
   } else {
     ++counters_.cache_misses;
     bool uip = true;
-    if (!batched && config_.invalidation == InvalidationMode::kImmediate) {
+    if (lone && config_.invalidation == InvalidationMode::kImmediate) {
       if (translation_.Exists(translation_.TPageOf(lpn))) {
         ++counters_.miss_fetches;  // the Lookup below reads the tpage
       }
       // Baselines fetch the mapping from flash to identify the
       // before-image right away (one translation-page read on the write
-      // path — the cost GeckoFTL's lazy scheme avoids). Batched requests
+      // path — the cost GeckoFTL's lazy scheme avoids). Batch extents
       // skip this per-lpn read even for baselines: identification rides
       // the UIP flag to the next synchronization of the translation page
-      // — within this Submit for cache-overflowing batches (WriteBatch's
+      // — within this request for cache-overflowing batches (WriteBatch's
       // eager commit), at a later eviction/checkpoint sync otherwise —
       // where one read covers every before-image of the page.
       PhysicalAddress old =
@@ -285,7 +258,7 @@ Status BaseFtl::WriteExtent(Lpn lpn, uint64_t payload, bool tombstone,
                                     /*uncertain=*/false});
   }
   NoteCacheOp();
-  if (!batched) EnforceDirtyCap();
+  if (lone) EnforceDirtyCap();
   scheduler_.AfterUserWrite();  // wear-leveler gradual-scan feed
   return Status::Ok();
 }
@@ -302,8 +275,17 @@ void BaseFtl::WriteBatch(const IoRequest& request, IoResult* result,
   // the paper targets), where single-page calls thrash the cache and pay
   // one eviction-driven sync per write. Extents of one lpn keep their
   // submission order (same group), so duplicates resolve last-writer-wins.
+  //
+  // A lone write — a kWrite request with one extent — keeps the per-page
+  // shape of the paper's write path: its before-image report goes straight
+  // to the validity store, immediate-invalidation baselines look up its
+  // old mapping in flash (their baseline write-miss cost), and the dirty
+  // cap is enforced right after the page. Trims of any size keep the
+  // batch shape: even a single trim benefits from deferred identification
+  // and the grouped synchronization.
+  const bool lone = !trim && request.extents.size() == 1;
   GECKO_CHECK(!defer_invalid_reports_) << "re-entrant batched request";
-  defer_invalid_reports_ = true;
+  defer_invalid_reports_ = !lone;
 
   std::map<TPageId, std::vector<size_t>> groups;
   for (size_t i = 0; i < request.extents.size(); ++i) {
@@ -316,23 +298,12 @@ void BaseFtl::WriteBatch(const IoRequest& request, IoResult* result,
     groups[translation_.TPageOf(lpn)].push_back(i);
   }
 
-  // Commit each group eagerly only when the request far overflows the
-  // mapping cache. A batch the cache can absorb loses nothing by staying
-  // lazy — eviction- and checkpoint-driven synchronization groups dirty
-  // entries over a window of roughly C ops, at least as wide as the
-  // request. A much larger batch would instead see its entries evicted
-  // one by one, each paying a nearly-private synchronization; streaming
-  // the groups and committing each touched translation page once per
-  // request caps the cost at the number of touched pages. The 2C margin
-  // keeps the boundary regime (where both schemes group about equally
-  // well) on the lazy path.
-  const bool commit_now = request.extents.size() >= 2 * cache_.capacity();
-
+  const bool commit_now = CommitsEagerly(request);
   for (const auto& [tpage, extent_indices] : groups) {
     for (size_t i : extent_indices) {
       const IoExtent& e = request.extents[i];
-      result->extent_status[i] = WriteExtent(e.lpn, trim ? 0 : e.payload,
-                                             trim, /*batched=*/true);
+      result->extent_status[i] =
+          WriteExtent(e.lpn, trim ? 0 : e.payload, trim, lone);
     }
     // One synchronization commits the whole group's mappings and
     // identifies their before-images off a single translation-page read
@@ -346,58 +317,8 @@ void BaseFtl::WriteBatch(const IoRequest& request, IoResult* result,
   EnforceDirtyCap();
 }
 
-Status BaseFtl::ReadOne(Lpn lpn, uint64_t* payload) {
-  if (lpn >= device_->geometry().NumLogicalPages()) {
-    return Status::InvalidArgument("lpn beyond logical capacity");
-  }
-  ++counters_.reads;
-  device_->stats().OnLogicalRead();
-
-  PhysicalAddress ppa;
-  MappingEntry* entry = cache_.Find(lpn);
-  if (entry != nullptr) {
-    ++counters_.cache_hits;
-    ppa = entry->ppa;
-  } else {
-    ++counters_.cache_misses;
-    const TPageId tpage = translation_.TPageOf(lpn);
-    const bool fetched = translation_.Exists(tpage);
-    if (fetched) ++counters_.miss_fetches;
-    ppa = translation_.Lookup(lpn, IoPurpose::kTranslation);
-    if (fetched && stall_on_miss_) {
-      // Synchronous-miss baseline: the data read may not issue until the
-      // fetch retires. The fetch is the newest op on its translation
-      // page's channel, so that channel's busy-until IS its completion.
-      device_->AdvanceTo(device_->ChannelBusyUntilUs(
-          device_->ChannelOf(translation_.Location(tpage).block)));
-    }
-    if (!ppa.IsValid()) {
-      return Status::NotFound("logical page never written");
-    }
-    // Cache the fetched entry, clean with no unidentified image
-    // (Section 4.1, "Application Reads").
-    while (cache_.NeedsEviction()) EvictOne();
-    cache_.Insert(lpn, MappingEntry{ppa, false, false, false});
-    NoteCacheOp();
-  }
-
-  PageReadResult r = device_->ReadPage(ppa, IoPurpose::kUserRead);
-  if (r.media_error) {
-    // Uncorrectable (hard) read fault: surfaced per extent, never as
-    // wrong data. The mapping stays put — the loss is the page's, not
-    // the translation's.
-    return Status::IoError("uncorrectable read at " + ppa.ToString());
-  }
-  GECKO_CHECK(r.written) << "mapping points to unwritten page";
-  GECKO_CHECK_EQ(r.spare.key, lpn) << "mapping points to wrong logical page";
-  if (r.spare.tombstone) {
-    return Status::NotFound("logical page trimmed");
-  }
-  *payload = r.payload;
-  return Status::Ok();
-}
-
-void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
+void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
+                        MissSink* miss_sink) {
   // Cache misses are grouped by translation page so N missed lpns of the
   // same page cost one translation read instead of N lookups.
   struct Miss {
@@ -426,8 +347,7 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
   }
 
   for (auto& [tpage, group] : misses) {
-    const bool fetched = translation_.Exists(tpage);
-    if (!fetched) {
+    if (!translation_.Exists(tpage)) {
       // Nothing to fetch: the translation page was never written, so
       // every lpn on it is unmapped. Resolves identically on every path
       // (in particular, parking such extents would be a wasted stall).
@@ -437,29 +357,26 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
       }
       continue;
     }
-    if (miss_sink_ != nullptr) {
-      // Engine path, async miss pipeline: park the whole group. The
-      // engine issues one coalesced fetch per translation page (across
-      // requests, not just within this one) and replays each extent via
-      // ResolveParkedExtent when the fetch's device time is reached.
+    if (config_.async_miss_fetch) {
+      // Async miss pipeline: park the whole group. The engine issues one
+      // coalesced fetch per translation page (across requests, not just
+      // within this one) and replays each extent via ResolveParkedExtent
+      // when the fetch's device time is reached.
       for (const Miss& m : group) {
-        miss_sink_->parked.push_back(MissSink::ParkedMiss{tpage, m.extent});
+        miss_sink->parked.push_back(MissSink::ParkedMiss{tpage, m.extent});
       }
       continue;
     }
-    // Synchronous miss path: one charged translation read serves the
-    // whole group — the first miss is the fetch, the rest coalesce.
+    // Synchronous-miss baseline: one charged translation read serves the
+    // whole group — the first miss is the fetch, the rest coalesce — and
+    // the group's data reads may not issue until the fetch retires (it is
+    // the newest op on its channel, so busy-until is its completion time).
     ++counters_.miss_fetches;
     counters_.miss_joins += group.size() - 1;
     std::vector<PhysicalAddress> mappings =
         translation_.ReadTPage(tpage, IoPurpose::kTranslation);
-    if (stall_on_miss_) {
-      // Synchronous-miss baseline: the group's data reads may not issue
-      // until the fetch retires (it is the newest op on its channel, so
-      // busy-until is its completion time).
-      device_->AdvanceTo(device_->ChannelBusyUntilUs(
-          device_->ChannelOf(translation_.Location(tpage).block)));
-    }
+    device_->AdvanceTo(device_->ChannelBusyUntilUs(
+        device_->ChannelOf(translation_.Location(tpage).block)));
     for (const Miss& m : group) {
       PhysicalAddress ppa = mappings[m.lpn % translation_.entries_per_page()];
       if (!ppa.IsValid()) {
@@ -468,8 +385,9 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
         continue;
       }
       resolved[m.extent] = ppa;
-      // An entry inserted for an earlier miss of the same lpn (duplicate
-      // extents) must not be double-inserted.
+      // Cache the fetched entry, clean with no unidentified image (Section
+      // 4.1, "Application Reads"). An entry inserted for an earlier miss
+      // of the same lpn (duplicate extents) must not be double-inserted.
       if (!cache_.Contains(m.lpn)) {
         while (cache_.NeedsEviction()) EvictOne();
         cache_.Insert(m.lpn, MappingEntry{ppa, false, false, false});
@@ -480,20 +398,28 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result) {
 
   for (size_t i = 0; i < request.extents.size(); ++i) {
     if (!result->extent_status[i].ok() || !resolved[i].IsValid()) continue;
-    PageReadResult r = device_->ReadPage(resolved[i], IoPurpose::kUserRead);
-    if (r.media_error) {
-      result->extent_status[i] =
-          Status::IoError("uncorrectable read at " + resolved[i].ToString());
-      continue;
-    }
-    GECKO_CHECK(r.written) << "mapping points to unwritten page";
-    GECKO_CHECK_EQ(r.spare.key, request.extents[i].lpn)
-        << "mapping points to wrong logical page";
-    if (r.spare.tombstone) {
-      result->extent_status[i] = Status::NotFound("logical page trimmed");
-    } else {
-      result->payloads[i] = r.payload;
-    }
+    ReadMappedPage(request, result, i, resolved[i]);
+  }
+}
+
+void BaseFtl::ReadMappedPage(const IoRequest& request, IoResult* result,
+                             size_t extent, PhysicalAddress ppa) {
+  PageReadResult r = device_->ReadPage(ppa, IoPurpose::kUserRead);
+  if (r.media_error) {
+    // Uncorrectable (hard) read fault: surfaced per extent, never as
+    // wrong data. The mapping stays put — the loss is the page's, not
+    // the translation's.
+    result->extent_status[extent] =
+        Status::IoError("uncorrectable read at " + ppa.ToString());
+    return;
+  }
+  GECKO_CHECK(r.written) << "mapping points to unwritten page";
+  GECKO_CHECK_EQ(r.spare.key, request.extents[extent].lpn)
+      << "mapping points to wrong logical page";
+  if (r.spare.tombstone) {
+    result->extent_status[extent] = Status::NotFound("logical page trimmed");
+  } else {
+    result->payloads[extent] = r.payload;
   }
 }
 
@@ -531,19 +457,7 @@ void BaseFtl::ResolveParkedExtent(IoRequest& request, IoResult* result,
         Status::NotFound("logical page never written");
     return;
   }
-  PageReadResult r = device_->ReadPage(ppa, IoPurpose::kUserRead);
-  if (r.media_error) {
-    result->extent_status[extent] =
-        Status::IoError("uncorrectable read at " + ppa.ToString());
-    return;
-  }
-  GECKO_CHECK(r.written) << "mapping points to unwritten page";
-  GECKO_CHECK_EQ(r.spare.key, lpn) << "mapping points to wrong logical page";
-  if (r.spare.tombstone) {
-    result->extent_status[extent] = Status::NotFound("logical page trimmed");
-  } else {
-    result->payloads[extent] = r.payload;
-  }
+  ReadMappedPage(request, result, extent, ppa);
 }
 
 void BaseFtl::FlushAll() {
@@ -552,14 +466,7 @@ void BaseFtl::FlushAll() {
   // then let the subclass flush its own volatile state (the Logarithmic
   // Gecko buffer for GeckoFTL).
   FlushPendingInvalid();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : cache_.LruToMruOrder()) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  SyncTranslationPagesOf(cache_.DirtyLpns());
   FlushMetadata();
 }
 
@@ -731,11 +638,15 @@ void BaseFtl::NoteCacheOp() {
 
 void BaseFtl::TakeCheckpoint() {
   ++counters_.checkpoints;
-  std::vector<Lpn> stale_dirty = cache_.TakeCheckpoint();
-  // Synchronize per translation page (entries of the same page flush
-  // together, amortizing the write).
+  SyncTranslationPagesOf(cache_.TakeCheckpoint());
+}
+
+void BaseFtl::SyncTranslationPagesOf(const std::vector<Lpn>& lpns) {
+  // Synchronize per translation page, in page order (entries of the same
+  // page flush together, amortizing the write).
   std::vector<TPageId> tpages;
-  for (Lpn lpn : stale_dirty) tpages.push_back(translation_.TPageOf(lpn));
+  tpages.reserve(lpns.size());
+  for (Lpn lpn : lpns) tpages.push_back(translation_.TPageOf(lpn));
   std::sort(tpages.begin(), tpages.end());
   tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
   for (TPageId t : tpages) SyncTranslationPage(t);
@@ -1187,15 +1098,7 @@ void BaseFtl::OnPowerFailing() {
   // out (Section 2). The IO happens on residual power and does not count
   // toward recovery time; it is charged to kOther so write-amplification
   // measurements remain clean.
-  std::vector<Lpn> lpns = cache_.LruToMruOrder();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : lpns) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  SyncTranslationPagesOf(cache_.DirtyLpns());
 }
 
 std::vector<BlockManager::BidEntry> BaseFtl::BuildBid(
@@ -1390,14 +1293,7 @@ void BaseFtl::SweepDeadMetadataBlocks() {
 void BaseFtl::SyncAllDirty(RecoveryReport* report) {
   RecoveryStep& step = report->Add("synchronize recovered entries");
   IoCounters before = device_->stats().Snapshot();
-  std::vector<TPageId> tpages;
-  for (Lpn lpn : cache_.LruToMruOrder()) {
-    const MappingEntry* e = cache_.Peek(lpn);
-    if (e != nullptr && e->dirty) tpages.push_back(translation_.TPageOf(lpn));
-  }
-  std::sort(tpages.begin(), tpages.end());
-  tpages.erase(std::unique(tpages.begin(), tpages.end()), tpages.end());
-  for (TPageId t : tpages) SyncTranslationPage(t);
+  SyncTranslationPagesOf(cache_.DirtyLpns());
   IoCounters delta = device_->stats().Snapshot() - before;
   step.page_reads = delta.TotalReads();
   step.page_writes = delta.TotalWrites();

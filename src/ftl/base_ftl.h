@@ -40,14 +40,12 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   BaseFtl(FlashDevice* device, const FtlConfig& config);
   ~BaseFtl() override = default;
 
-  /// Request-oriented entry point — now a thin wrapper over the async
-  /// path: submit-async + drain-to-completion, so a lone synchronous
-  /// request still gets its own batch window (its flash ops overlap
-  /// across channels, completing in max-per-channel time) and existing
-  /// callers see exactly the pre-async semantics. Inside a caller-managed
-  /// batch window (and with nothing async in flight) the request is
-  /// serviced inline instead: the window's owner controls the clock, so
-  /// there is no completion time to wait for.
+  /// Request-oriented entry point: a thin wrapper over the async path
+  /// (submit-async + drain-to-completion), so a synchronous request gets
+  /// the engine's batch window — its flash ops overlap across channels,
+  /// completing in max-per-channel time. Must not be called inside a
+  /// caller-managed batch window (the drain would close a window it does
+  /// not own).
   Status Submit(IoRequest& request, IoResult* result) override;
 
   /// Async submission/completion (ftl/async_engine.h): admits up to
@@ -166,44 +164,21 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// Reports a user-page invalidation. The BVC and the GC-victim mirror
   /// update immediately; the store record is forwarded at once in normal
   /// operation, or collected and submitted as one RecordInvalidPages batch
-  /// while a scatter-gather request is being serviced (so flash-resident
+  /// while a write batch or trim is being serviced (so flash-resident
   /// stores pay one read-modify-write per touched metadata page per
-  /// request). GC paths flush the collected batch before querying or
+  /// request; a lone write reports at once). GC paths flush the collected batch before querying or
   /// recording erases, keeping the store's view consistent.
   void ReportInvalid(PhysicalAddress addr);
   void FlushPendingInvalid();
 
-  // --- Request servicing ------------------------------------------------
-
-  /// Services one validated request synchronously: single-extent
-  /// writes/reads take the classic per-page path; multi-extent requests
-  /// run the batched path, which updates each touched translation page
-  /// and page-validity-store page once per request instead of once per
-  /// lpn. Timing (batch window, op scope) is the caller's concern — the
-  /// async engine brackets this call; the inline path runs it inside the
-  /// caller's window.
-  void ServiceRequest(IoRequest& request, IoResult* result);
-
   // --- AsyncHost (the engine's view of this FTL) ------------------------
 
-  /// Engine-path execution. With FtlConfig::async_miss_fetch (the
-  /// default), read extents whose mapping missed the cache are recorded
-  /// in `miss_sink` for the engine to park instead of being fetched
-  /// inline. With it off — the synchronous-miss baseline — each miss
-  /// fetches inline and additionally stalls the device clock to the
-  /// fetch's completion, so the data read (and everything dispatched
-  /// after it) serializes behind the mapping store, which is what a
-  /// blocking fetch costs on real hardware.
+  /// Services one validated request (the engine brackets the call in its
+  /// batch window and op scope): writes and trims through WriteBatch,
+  /// reads through ReadBatch, whatever their extent count — a single
+  /// extent is a batch of one — and kFlush through FlushAll.
   void ExecuteRequest(IoRequest& request, IoResult* result,
-                      MissSink* miss_sink) override {
-    GECKO_CHECK(miss_sink_ == nullptr && !stall_on_miss_)
-        << "re-entrant engine execution";
-    miss_sink_ = config_.async_miss_fetch ? miss_sink : nullptr;
-    stall_on_miss_ = !config_.async_miss_fetch;
-    ServiceRequest(request, result);
-    miss_sink_ = nullptr;
-    stall_on_miss_ = false;
-  }
+                      MissSink* miss_sink) override;
 
   /// Issues the charged translation-page read behind one coalesced miss
   /// fetch (the result is discarded: replays read the then-current image
@@ -230,25 +205,43 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// everything else).
   std::vector<DepKey> DependencyKeys(const IoRequest& request) override;
 
-  /// The classic single-page write path (also services one-extent write
-  /// requests). `tombstone` turns the write into a trim tombstone;
-  /// `batched` defers before-image identification to the request's
-  /// grouped synchronization phase and skips per-page dirty-cap checks
-  /// (both run once per request instead).
-  Status WriteExtent(Lpn lpn, uint64_t payload, bool tombstone, bool batched);
-  Status ReadOne(Lpn lpn, uint64_t* payload);
+  // --- Request servicing ------------------------------------------------
 
-  /// Batched write/trim: per-extent data-page writes, then one
-  /// synchronization per touched translation page, then one page-validity
-  /// batch submission.
+  /// Writes one in-range extent of WriteBatch. `tombstone` turns the
+  /// write into a trim tombstone. `lone` marks the extent of a lone write:
+  /// immediate-invalidation baselines identify its before-image with a
+  /// per-lpn translation lookup, and the dirty cap is enforced right
+  /// after it; batch extents leave both to the request's grouped
+  /// synchronization and its end.
+  Status WriteExtent(Lpn lpn, uint64_t payload, bool tombstone, bool lone);
+
+  /// Write/trim of any extent count: per-extent data-page writes, then one
+  /// synchronization per touched translation page (cache-overflowing
+  /// batches only), then one page-validity batch submission. A lone write
+  /// (one kWrite extent) reports its before-image to the store at once.
   void WriteBatch(const IoRequest& request, IoResult* result, bool trim);
 
-  /// Batched read: cache hits resolve directly; misses share one
-  /// translation-page read per touched translation page. On the engine
-  /// path with async_miss_fetch, missed extents are parked in the miss
-  /// sink instead (never-written translation pages short-circuit to
-  /// NotFound without parking — there is nothing to fetch).
-  void ReadBatch(const IoRequest& request, IoResult* result);
+  /// Whether a request commits each touched translation page inline: a
+  /// write/trim batch of at least twice the cache capacity. WriteBatch
+  /// acts on it and DependencyKeys claims the pages it commits.
+  bool CommitsEagerly(const IoRequest& request) const;
+
+  /// Read of any extent count: cache hits resolve directly; misses share
+  /// one translation-page read per touched translation page. With
+  /// async_miss_fetch, missed extents are parked in `miss_sink` instead
+  /// (never-written translation pages short-circuit to NotFound without
+  /// parking — there is nothing to fetch). With it off — the
+  /// synchronous-miss baseline — each group fetches inline and stalls
+  /// the device clock to the fetch's completion, so its data reads (and
+  /// everything dispatched after them) serialize behind the mapping
+  /// store, which is what a blocking fetch costs on real hardware.
+  void ReadBatch(const IoRequest& request, IoResult* result,
+                 MissSink* miss_sink);
+
+  /// Reads the data page `ppa` that `request.extents[extent]` maps to into
+  /// the result: payload, or a per-extent media error or trimmed status.
+  void ReadMappedPage(const IoRequest& request, IoResult* result,
+                      size_t extent, PhysicalAddress ppa);
 
   /// kFlush: synchronizes every dirty cached entry (grouped per
   /// translation page) and flushes store-specific volatile state.
@@ -280,6 +273,9 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// entry of `tpage` into a new version of that translation page,
   /// resolving UIP/uncertain flags per Section 4.1 / Appendix C.3.
   void SyncTranslationPage(TPageId tpage);
+  /// One synchronization per translation page holding any of `lpns`, in
+  /// page order (checkpoints, flushes, power-fail and recovery syncs).
+  void SyncTranslationPagesOf(const std::vector<Lpn>& lpns);
 
   /// Evicts the LRU entry, synchronizing first if dirty.
   void EvictOne();
@@ -395,17 +391,11 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// re-derived from the persistent physical state on the next write.
   bool degraded_ = false;
   bool in_gc_ = false;  // guards re-entrant GC step execution
-  /// While true (inside batched request servicing), ReportInvalid collects
-  /// store records into pending_invalid_ instead of forwarding them one by
-  /// one; FlushPendingInvalid submits the batch.
+  /// While true (inside WriteBatch, except for a lone write), ReportInvalid
+  /// collects store records into pending_invalid_ instead of forwarding
+  /// them one by one; FlushPendingInvalid submits the batch.
   bool defer_invalid_reports_ = false;
   std::vector<PhysicalAddress> pending_invalid_;
-  /// Non-null only while ExecuteRequest services an engine-path request
-  /// with async miss fetching: the read path parks misses here.
-  MissSink* miss_sink_ = nullptr;
-  /// Engine path with async_miss_fetch off: read-miss fetches stall the
-  /// device clock to their completion (the synchronous-miss baseline).
-  bool stall_on_miss_ = false;
   /// Saved translation-page versions from the last RecoverGmd call, used
   /// by GeckoFTL's buffer recovery diffing.
   std::vector<TranslationTable::TPageVersions> recovered_versions_;

@@ -58,7 +58,6 @@ FtlConfig LazyFtl::DefaultConfig(uint32_t cache_capacity) {
   c.cache_capacity = cache_capacity;
   c.battery = false;
   c.dirty_fraction_cap = 0.1;  // Section 5.3: dirty entries capped at 10% C
-  c.checkpoint_period = c.DirtyCap() == 0 ? 1 : 0;
   c.checkpoint_period = static_cast<uint32_t>(cache_capacity * 0.1);
   if (c.checkpoint_period == 0) c.checkpoint_period = 1;
   c.gc_policy = GcPolicy::kGreedyAll;

@@ -100,6 +100,10 @@ class MappingCache {
   /// Dirty entries whose lpn lies in [lo, hi] — the entries one
   /// synchronization operation flushes together.
   std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const;
+  /// Every dirty entry, in lpn order.
+  std::vector<Lpn> DirtyLpns() const {
+    return DirtyInRange(0, std::numeric_limits<Lpn>::max());
+  }
 
   /// Oldest dirty entry in LRU order (for the dirty-entry cap of LazyFTL
   /// and IB-FTL). Returns false if there are no dirty entries.

@@ -1,6 +1,8 @@
 #include "ftl/sharded_ftl.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ftl/async_engine.h"
@@ -9,13 +11,15 @@
 namespace gecko {
 
 /// Per-request fan-out/join state, heap-allocated per submission. Workers
-/// write DISJOINT slots of sub_results/sub_complete_us (slot = their sub
-/// index); the last completer — the one whose `remaining` decrement hits
-/// zero — joins and disposes. The acq_rel decrement makes every other
-/// worker's slot writes visible to the joiner.
+/// write DISJOINT slots of sub_results/sub_start_us/sub_complete_us (slot =
+/// their sub index); the last completer — the one whose `remaining`
+/// decrement hits zero — joins and disposes. The acq_rel decrement makes
+/// every other worker's slot writes visible to the joiner.
 struct ShardedFtl::RequestState {
   SplitRequest split;
   std::vector<IoResult> sub_results;
+  /// Shard clock when each sub began executing (+inf if it aborted).
+  std::vector<double> sub_start_us;
   std::vector<double> sub_complete_us;
   CompletionCb on_complete;
   std::atomic<uint32_t> remaining{0};
@@ -23,7 +27,7 @@ struct ShardedFtl::RequestState {
   bool sync = false;
   IoResult* sync_result = nullptr;  // sync path: joined result lands here
   std::binary_semaphore done{0};    // sync path: released by the joiner
-  double submit_us = 0;
+  std::optional<double> arrival_us;  // SubmitAsyncAt's stamp
 };
 
 namespace {
@@ -71,7 +75,6 @@ Geometry ShardedFtl::ShardGeometry(const Geometry& total,
 
 ShardedFtl::ShardedFtl(const ShardedFtlOptions& options, FtlFactory factory)
     : router_(BuildShardMap(options)),
-      lock_free_queue_(options.lock_free_queue),
       max_inflight_(options.max_inflight != 0
                         ? options.max_inflight
                         : options.num_shards *
@@ -81,7 +84,7 @@ ShardedFtl::ShardedFtl(const ShardedFtlOptions& options, FtlFactory factory)
   Geometry slice = ShardGeometry(options.geometry, options.num_shards);
   shards_.reserve(options.num_shards);
   for (uint32_t s = 0; s < options.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(lock_free_queue_);
+    auto shard = std::make_unique<Shard>();
     FaultConfig shard_faults = options.faults;
     shard_faults.seed = options.faults.seed + s;
     shard->device =
@@ -113,12 +116,12 @@ ShardedFtl::~ShardedFtl() {
 
 Status ShardedFtl::Submit(IoRequest& request, IoResult* result) {
   return SubmitInternal(request, CompletionCb(), /*sync=*/true,
-                        /*arrival_us=*/0, result);
+                        /*arrival_us=*/std::nullopt, result);
 }
 
 Status ShardedFtl::SubmitAsync(IoRequest&& request, CompletionCb on_complete) {
   return SubmitInternal(request, std::move(on_complete), /*sync=*/false,
-                        /*arrival_us=*/0, nullptr);
+                        /*arrival_us=*/std::nullopt, nullptr);
 }
 
 Status ShardedFtl::SubmitAsyncAt(IoRequest&& request, double arrival_us,
@@ -128,7 +131,7 @@ Status ShardedFtl::SubmitAsyncAt(IoRequest&& request, double arrival_us,
 }
 
 Status ShardedFtl::SubmitInternal(IoRequest& request, CompletionCb on_complete,
-                                  bool sync, double arrival_us,
+                                  bool sync, std::optional<double> arrival_us,
                                   IoResult* sync_result) {
   Status valid = AsyncEngine::Validate(request);
   if (!valid.ok()) return valid;
@@ -153,9 +156,11 @@ Status ShardedFtl::SubmitInternal(IoRequest& request, CompletionCb on_complete,
   state->on_complete = std::move(on_complete);
   state->sync = sync;
   state->sync_result = sync_result;
-  state->submit_us = arrival_us;
+  state->arrival_us = arrival_us;
   size_t num_subs = state->split.subs.size();
   state->sub_results.resize(num_subs);
+  state->sub_start_us.assign(num_subs,
+                             std::numeric_limits<double>::infinity());
   state->sub_complete_us.assign(num_subs, 0.0);
   if (state->split.op == IoOp::kFlush) {
     stat_flush_barriers_.fetch_add(1, std::memory_order_relaxed);
@@ -179,7 +184,7 @@ Status ShardedFtl::SubmitInternal(IoRequest& request, CompletionCb on_complete,
       msg.kind = ShardMsg::Kind::kSub;
       msg.request = state;
       msg.index = i;
-      msg.arrival_us = arrival_us;
+      msg.arrival_us = arrival_us.value_or(0);
       shards_[state->split.subs[i].shard]->queue.Push(msg);
     }
   }
@@ -225,6 +230,8 @@ void ShardedFtl::ExecuteSub(Shard& shard, const ShardMsg& msg) {
     if (msg.arrival_us > shard.device->now_us()) {
       shard.device->AdvanceTo(msg.arrival_us);
     }
+    // The worker reads only its own shard's clock.
+    state->sub_start_us[msg.index] = shard.device->now_us();
     Status executed = shard.ftl->Submit(sub.request, &result);
     if (!executed.ok()) result.status = executed;
     state->sub_complete_us[msg.index] = shard.device->now_us();
@@ -240,9 +247,17 @@ void ShardedFtl::CompleteOne(RequestState* state) {
   ShardRouter::Join(state->split, state->sub_results, &result);
   bool aborted = state->aborted.load(std::memory_order_acquire);
   AsyncCompletion done;
-  done.submit_us = state->submit_us;
+  if (state->arrival_us.has_value()) {
+    done.submit_us = *state->arrival_us;
+  } else {
+    // Unstamped: the request started when its earliest sub did (0 when
+    // no sub executed).
+    double first = std::numeric_limits<double>::infinity();
+    for (double t : state->sub_start_us) first = std::min(first, t);
+    done.submit_us = std::isinf(first) ? 0 : first;
+  }
   if (!aborted) {
-    double complete_us = state->submit_us;
+    double complete_us = done.submit_us;
     for (double t : state->sub_complete_us) {
       complete_us = std::max(complete_us, t);
     }

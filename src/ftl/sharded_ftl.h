@@ -15,9 +15,9 @@
 // submitters may do so concurrently). The router splits the request's
 // extents into at most one sub-request per touched shard and pushes one
 // queue message per sub. Each shard's worker executes its sub against
-// the inner FTL and stamps the shard-local device time; the LAST
-// completing worker joins the per-extent statuses back into host order
-// and fires the completion callback. kFlush fans out to every shard and
+// the inner FTL and stamps the shard-local device time at which the sub
+// started and finished; the LAST completing worker joins the per-extent
+// statuses back into host order and fires the completion callback. kFlush fans out to every shard and
 // the same join is the cross-shard barrier. Control operations
 // (CrashAndRecover, ForceGc, IdleTick) broadcast a control message to
 // every shard and block on a rendezvous until all workers have arrived.
@@ -27,8 +27,8 @@
 //
 //   Queue handoff   — everything a producer wrote before Push() is
 //                     visible to the worker when WaitPop() returns the
-//                     message (release store of the queue link / mutex,
-//                     acquire on the consumer side; util/mpsc_queue.h).
+//                     message (release store of the queue link, acquire
+//                     on the consumer side; util/mpsc_queue.h).
 //   Completion      — workers write disjoint sub_results slots; the
 //   publication       per-request `remaining` counter is decremented
 //                     with acq_rel, so the last decrementer (who runs
@@ -66,6 +66,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <semaphore>
 #include <string>
 #include <thread>
@@ -99,9 +100,6 @@ struct ShardedFtlOptions {
   FtlConfig config;
   /// Latency model shared by every shard's device slice.
   LatencyModel latency;
-  /// Queue backend: Vyukov lock-free (true) or mutex+deque (false).
-  /// bench_shard_scaling sweeps both to price the handoff.
-  bool lock_free_queue = true;
   /// Global async in-flight cap (kQueueFull past it). 0 derives
   /// num_shards * config.async_queue_depth.
   uint32_t max_inflight = 0;
@@ -148,13 +146,16 @@ class ShardedFtl : public Ftl {
   Status Submit(IoRequest& request, IoResult* result) override;
 
   /// Asynchronous submission: fans out and returns. The callback fires
-  /// exactly once, on the worker thread that completes the last sub.
+  /// exactly once, on the worker thread that completes the last sub. The
+  /// request's submit_us is the earliest shard clock at which one of its
+  /// subs started executing.
   Status SubmitAsync(IoRequest&& request, CompletionCb on_complete) override;
 
   /// Arrival-stamped async submission for open-loop drivers: each
   /// shard's worker advances its device clock to at least `arrival_us`
   /// before executing its sub, so per-thread arrival processes measure
-  /// queueing honestly against the simulated device timeline.
+  /// queueing honestly against the simulated device timeline. The
+  /// request's submit_us is `arrival_us`.
   Status SubmitAsyncAt(IoRequest&& request, double arrival_us,
                        CompletionCb on_complete);
 
@@ -206,7 +207,6 @@ class ShardedFtl : public Ftl {
   const FlashDevice& shard_device(uint32_t s) const {
     return *shards_[s]->device;
   }
-  bool lock_free_queue() const { return lock_free_queue_; }
 
   /// Merged device view: op counts add, elapsed time is the max across
   /// shards, latency histograms merge.
@@ -258,18 +258,20 @@ class ShardedFtl : public Ftl {
   /// One shard's private world. Only its worker thread ever touches
   /// `device`, `ftl`, or the executed/aborted counters.
   struct Shard {
-    explicit Shard(bool lock_free) : queue(lock_free) {}
     std::unique_ptr<FlashDevice> device;
     std::unique_ptr<Ftl> ftl;
-    MpscQueue<ShardMsg> queue;
+    LockFreeMpscQueue<ShardMsg> queue;
     std::atomic<bool> aborting{false};
     std::thread worker;
     uint64_t subs_executed = 0;  // worker-private
     uint64_t subs_aborted = 0;   // worker-private
   };
 
+  /// `arrival_us` is empty for requests submitted without an arrival
+  /// stamp (Submit, SubmitAsync).
   Status SubmitInternal(IoRequest& request, CompletionCb on_complete,
-                        bool sync, double arrival_us, IoResult* sync_result);
+                        bool sync, std::optional<double> arrival_us,
+                        IoResult* sync_result);
   void WorkerLoop(uint32_t shard_index);
   void ExecuteSub(Shard& shard, const ShardMsg& msg);
   void HandleControl(Shard& shard, const ShardMsg& msg);
@@ -281,7 +283,6 @@ class ShardedFtl : public Ftl {
 
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  const bool lock_free_queue_;
   const uint32_t max_inflight_;
   std::string name_;
 

@@ -1,83 +1,31 @@
-// Multi-producer single-consumer queues for the sharded front end.
+// Multi-producer single-consumer queue for the sharded front end.
 //
-// Each LPN shard owns one submission queue: any number of submitter
-// threads push messages, exactly one worker thread pops them. Two
-// interchangeable backends implement the same contract so the shard
-// bench can measure the handoff cost of each (ftl/sharded_ftl.h selects
-// one via ShardedFtlOptions::lock_free_queue):
-//
-//   MutexMpscQueue    — std::mutex + deque. The obviously-correct
-//                       baseline; every handoff takes the lock.
-//   LockFreeMpscQueue — Vyukov's intrusive MPSC list (the SPDK
-//                       spdk_ring / DPDK rte_ring family of idioms):
-//                       producers exchange the head pointer and link the
-//                       previous node, the consumer walks the tail. Push
-//                       is one atomic exchange + one release store; pop
-//                       takes no lock at all.
-//
-// Both backends pair with a counting semaphore so the consumer blocks
-// (not spins) while the queue is empty.
+// Each LPN shard owns one submission queue (ftl/sharded_ftl.h): any
+// number of submitter threads push messages, exactly one worker thread
+// pops them. LockFreeMpscQueue is Vyukov's intrusive MPSC list (the SPDK
+// spdk_ring / DPDK rte_ring family of idioms): producers exchange the
+// head pointer and link the previous node, the consumer walks the tail.
+// Push is one atomic exchange + one release store; pop takes no lock at
+// all. A counting semaphore lets the consumer block (not spin) while the
+// queue is empty.
 //
 // Memory-ordering contract (the happens-before rule every shard message
 // relies on): everything the producer wrote before Push() is visible to
-// the consumer when WaitPop() returns that item. The mutex backend gets
-// this from the lock; the lock-free backend from the release store of
-// `prev->next` paired with the consumer's acquire load, with the
-// semaphore release/acquire providing the same edge for the wakeup path.
-// There is no ordering ACROSS producers beyond each producer's own FIFO:
-// two items pushed by different threads may pop in either order.
+// the consumer when WaitPop() returns that item — the release store of
+// `prev->next` pairs with the consumer's acquire load, and the semaphore
+// release/acquire provides the same edge for the wakeup path. There is
+// no ordering ACROSS producers beyond each producer's own FIFO: two items
+// pushed by different threads may pop in either order.
 
 #ifndef GECKOFTL_UTIL_MPSC_QUEUE_H_
 #define GECKOFTL_UTIL_MPSC_QUEUE_H_
 
 #include <atomic>
-#include <deque>
-#include <mutex>
 #include <semaphore>
 #include <thread>
 #include <utility>
 
-#include "util/check.h"
-
 namespace gecko {
-
-/// Mutex-guarded MPSC queue: the baseline backend.
-template <typename T>
-class MutexMpscQueue {
- public:
-  void Push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      items_.push_back(std::move(item));
-    }
-    ready_.release();
-  }
-
-  /// Blocks until an item is available; single consumer only.
-  T WaitPop() {
-    ready_.acquire();
-    std::lock_guard<std::mutex> lock(mu_);
-    GECKO_CHECK(!items_.empty());
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Non-blocking variant; returns false when the queue is empty.
-  bool TryPop(T* out) {
-    if (!ready_.try_acquire()) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    GECKO_CHECK(!items_.empty());
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
- private:
-  std::mutex mu_;
-  std::deque<T> items_;
-  std::counting_semaphore<> ready_{0};
-};
 
 /// Vyukov-style lock-free MPSC queue. Producers contend only on one
 /// atomic exchange; the consumer owns the tail outright.
@@ -150,37 +98,6 @@ class LockFreeMpscQueue {
   alignas(64) std::atomic<Node*> head_;  // producers exchange here
   alignas(64) Node* tail_;               // consumer-owned
   std::counting_semaphore<> ready_{0};
-};
-
-/// Runtime-selectable facade over the two backends (one per shard; the
-/// bench sweeps both to price the handoff).
-template <typename T>
-class MpscQueue {
- public:
-  explicit MpscQueue(bool lock_free) : lock_free_(lock_free) {}
-
-  void Push(T item) {
-    if (lock_free_) {
-      lock_free_queue_.Push(std::move(item));
-    } else {
-      mutex_queue_.Push(std::move(item));
-    }
-  }
-
-  T WaitPop() {
-    return lock_free_ ? lock_free_queue_.WaitPop() : mutex_queue_.WaitPop();
-  }
-
-  bool TryPop(T* out) {
-    return lock_free_ ? lock_free_queue_.TryPop(out) : mutex_queue_.TryPop(out);
-  }
-
-  bool lock_free() const { return lock_free_; }
-
- private:
-  const bool lock_free_;
-  MutexMpscQueue<T> mutex_queue_;
-  LockFreeMpscQueue<T> lock_free_queue_;
 };
 
 }  // namespace gecko

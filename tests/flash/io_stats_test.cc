@@ -84,6 +84,23 @@ TEST(IoStatsTest, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(stats.elapsed_us(), 0.0);
 }
 
+// The in-flight gauges are exact: a completion without a matching
+// admission (or a fetch done without an issue) is an accounting bug and
+// aborts instead of clamping at zero. A Reset keeps balanced callers
+// working, since both gauges are live pipeline state.
+TEST(IoStatsTest, UnbalancedInFlightGaugeDecrementsAbort) {
+  IoStats stats;
+  stats.OnHostAdmit();
+  stats.OnMissFetchIssued();
+  stats.Reset();
+  stats.OnHostComplete();
+  stats.OnMissFetchDone();
+  EXPECT_EQ(stats.host_inflight(), 0u);
+  EXPECT_EQ(stats.miss_fetch_inflight(), 0u);
+  EXPECT_DEATH(stats.OnHostComplete(), "host completion without admission");
+  EXPECT_DEATH(stats.OnMissFetchDone(), "miss fetch done without issue");
+}
+
 TEST(LatencyHistogramTest, PercentilesTrackRecordedSamples) {
   LatencyHistogram h;
   EXPECT_DOUBLE_EQ(h.P99(), 0.0);

@@ -1,8 +1,8 @@
-// Sharded front-end tests over all five FTLs and both queue backends:
-// single-shard bit-identical equivalence with the unsharded FTL,
-// multi-shard shadow-model integrity, cross-shard flush-barrier
-// ordering, crash-during-fan-out abort accounting, and concurrent
-// submitters (the suite the TSan CI job races).
+// Sharded front-end tests over all five FTLs: single-shard bit-identical
+// equivalence with the unsharded FTL, multi-shard shadow-model integrity,
+// cross-shard flush-barrier ordering, crash-during-fan-out abort
+// accounting, submit-time stamping, and concurrent submitters (the suite
+// the TSan CI job races).
 
 #include "ftl/sharded_ftl.h"
 
@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,13 +43,10 @@ FtlFactory FactoryFor(const std::string& name) {
   };
 }
 
-/// Param: (FTL name, lock-free queue backend?).
-using ShardedParam = std::tuple<std::string, bool>;
-
-class ShardedFtlTest : public ::testing::TestWithParam<ShardedParam> {
+/// Param: FTL name.
+class ShardedFtlTest : public ::testing::TestWithParam<std::string> {
  protected:
-  std::string FtlName() const { return std::get<0>(GetParam()); }
-  bool LockFree() const { return std::get<1>(GetParam()); }
+  std::string FtlName() const { return GetParam(); }
 
   std::unique_ptr<ShardedFtl> MakeSharded(uint32_t num_shards,
                                           uint32_t total_channels = 4,
@@ -59,26 +55,23 @@ class ShardedFtlTest : public ::testing::TestWithParam<ShardedParam> {
     options.geometry = FtlTestGeometry(total_channels);
     options.num_shards = num_shards;
     options.config = DefaultConfigFor(FtlName(), cache_per_shard);
-    options.lock_free_queue = LockFree();
     return std::make_unique<ShardedFtl>(options, FactoryFor(FtlName()));
   }
 };
 
 std::string ShardedParamName(
-    const ::testing::TestParamInfo<ShardedParam>& info) {
-  std::string name = std::get<0>(info.param);
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
   for (char& c : name) {
     if (c == '-') c = '_';
   }
-  return name + (std::get<1>(info.param) ? "_lockfree" : "_mutex");
+  return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllFtls, ShardedFtlTest,
-    ::testing::Combine(::testing::Values("GeckoFTL", "DFTL", "LazyFTL",
-                                         "uFTL", "IB-FTL"),
-                       ::testing::Bool()),
-    ShardedParamName);
+INSTANTIATE_TEST_SUITE_P(AllFtls, ShardedFtlTest,
+                         ::testing::Values("GeckoFTL", "DFTL", "LazyFTL",
+                                           "uFTL", "IB-FTL"),
+                         ShardedParamName);
 
 void ExpectSameResult(const IoResult& got, const IoResult& want,
                       const std::string& context) {
@@ -215,6 +208,54 @@ TEST_P(ShardedFtlTest, SingleShardBitIdenticalToUnsharded) {
   }
 }
 
+// Plain SubmitAsync carries no arrival stamp: the front end stamps the
+// request with the earliest shard clock at which one of its subs started.
+// After a prefill that is a real device time, and with one shard it is
+// exactly the unsharded engine's admission time for the same request.
+TEST_P(ShardedFtlTest, SubmitAsyncStampsSubmitTimeFromShardClock) {
+  auto prefill = [](Ftl& ftl) {
+    for (Lpn base = 0; base < 512; base += 8) {
+      IoRequest request(IoOp::kWrite);
+      for (Lpn lpn = base; lpn < base + 8; ++lpn) request.Add(lpn, lpn + 1);
+      IoResult result;
+      ASSERT_TRUE(ftl.Submit(request, &result).ok());
+      ASSERT_TRUE(result.AllOk()) << result.FirstError().ToString();
+    }
+  };
+  auto submit_async = [](Ftl& ftl) {
+    IoRequest request(IoOp::kWrite);
+    for (Lpn lpn : {3, 200, 400, 600}) request.Add(lpn, 7 * lpn);
+    AsyncCompletion done;
+    Status s = ftl.SubmitAsync(
+        std::move(request),
+        [&done](const IoResult& result, const AsyncCompletion& completion) {
+          EXPECT_TRUE(result.AllOk()) << result.FirstError().ToString();
+          done = completion;
+        });
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    ftl.DrainAsync();  // happens-after the callback
+    return done;
+  };
+
+  FlashDevice plain_device(FtlTestGeometry(4));
+  std::unique_ptr<Ftl> plain = MakeFtl(FtlName(), &plain_device, 64);
+  std::unique_ptr<ShardedFtl> one = MakeSharded(1);
+  std::unique_ptr<ShardedFtl> four = MakeSharded(4);
+  prefill(*plain);
+  prefill(*one);
+  prefill(*four);
+
+  AsyncCompletion sharded = submit_async(*four);
+  EXPECT_GT(sharded.submit_us, 0.0);
+  EXPECT_LE(sharded.submit_us, sharded.complete_us);
+
+  AsyncCompletion want = submit_async(*plain);
+  AsyncCompletion got = submit_async(*one);
+  EXPECT_GT(want.submit_us, 0.0);
+  EXPECT_EQ(got.submit_us, want.submit_us);
+  EXPECT_EQ(got.complete_us, want.complete_us);
+}
+
 // Multi-shard data integrity against the shadow model: the sharded FTL
 // is just an Ftl, so the standard harness drives it end to end.
 TEST_P(ShardedFtlTest, MultiShardShadowIntegrity) {
@@ -303,7 +344,6 @@ TEST_P(ShardedFtlTest, CrashDuringFanOutAbortsQueuedSubsExactlyOnce) {
     options.geometry = FtlTestGeometry(4);
     options.num_shards = 4;
     options.config = DefaultConfigFor(FtlName(), 64);
-    options.lock_free_queue = LockFree();
     options.max_inflight = 4096;  // keep the queues deep at crash time
     ShardedFtl sharded(options, FactoryFor(FtlName()));
     const uint64_t capacity = sharded.shard_map().TotalLpns();
@@ -435,7 +475,6 @@ TEST_P(ShardedFtlTest, DegradedShardFailsWritesWithoutStallingSiblings) {
   options.geometry = FtlTestGeometry(4);
   options.num_shards = 2;
   options.config = DefaultConfigFor(FtlName(), 64);
-  options.lock_free_queue = LockFree();
   options.faults.enabled = true;
   options.faults.seed = FuzzSeed(5501);
   options.faults.erase_fault_rate = 1.0;  // every GC erase retires its block

@@ -14,7 +14,7 @@
 namespace gecko {
 namespace {
 
-ShardedFtlOptions SmallOptions(uint32_t num_shards, bool lock_free) {
+ShardedFtlOptions SmallOptions(uint32_t num_shards) {
   ShardedFtlOptions options;
   Geometry g;
   g.num_blocks = 64;
@@ -25,7 +25,6 @@ ShardedFtlOptions SmallOptions(uint32_t num_shards, bool lock_free) {
   options.geometry = g;
   options.num_shards = num_shards;
   options.config = GeckoFtl::DefaultConfig(64);
-  options.lock_free_queue = lock_free;
   return options;
 }
 
@@ -35,8 +34,8 @@ FtlFactory GeckoFactory() {
   };
 }
 
-ParallelDriverReport RunOnce(uint32_t threads, bool lock_free) {
-  ShardedFtl sharded(SmallOptions(4, lock_free), GeckoFactory());
+ParallelDriverReport RunOnce(uint32_t threads) {
+  ShardedFtl sharded(SmallOptions(4), GeckoFactory());
   ParallelDriverOptions options;
   options.threads = threads;
   options.requests_per_thread = 64;
@@ -58,33 +57,30 @@ ParallelDriverReport RunOnce(uint32_t threads, bool lock_free) {
 }
 
 TEST(ParallelDriverTest, EveryArrivalCompletes) {
-  for (bool lock_free : {false, true}) {
-    ParallelDriverReport report = RunOnce(4, lock_free);
-    EXPECT_EQ(report.arrivals, 4u * 64u);
-    EXPECT_EQ(report.completed + report.aborted, report.arrivals);
-    EXPECT_EQ(report.aborted, 0u);
-    EXPECT_GT(report.extents_completed, 0u);
-    EXPECT_EQ(report.extents_completed, report.extents_offered);
-    EXPECT_GT(report.elapsed_us, 0.0);
-    EXPECT_GT(report.achieved_kiops, 0.0);
-    EXPECT_EQ(report.latency.count(),
-              static_cast<uint64_t>(report.completed));
-    EXPECT_GE(report.p99_us, report.p50_us);
-  }
+  ParallelDriverReport report = RunOnce(4);
+  EXPECT_EQ(report.arrivals, 4u * 64u);
+  EXPECT_EQ(report.completed + report.aborted, report.arrivals);
+  EXPECT_EQ(report.aborted, 0u);
+  EXPECT_GT(report.extents_completed, 0u);
+  EXPECT_EQ(report.extents_completed, report.extents_offered);
+  EXPECT_GT(report.elapsed_us, 0.0);
+  EXPECT_GT(report.achieved_kiops, 0.0);
+  EXPECT_EQ(report.latency.count(), static_cast<uint64_t>(report.completed));
+  EXPECT_GE(report.p99_us, report.p50_us);
 }
 
 TEST(ParallelDriverTest, ForkedStreamsMakeRunsDeterministic) {
   // Same seeds, same thread count -> identical offered work. (Completion
   // interleaving varies with scheduling, but the workload must not.)
-  ParallelDriverReport a = RunOnce(2, true);
-  ParallelDriverReport b = RunOnce(2, true);
+  ParallelDriverReport a = RunOnce(2);
+  ParallelDriverReport b = RunOnce(2);
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.extents_offered, b.extents_offered);
   EXPECT_EQ(a.extents_completed, b.extents_completed);
 }
 
 TEST(ParallelDriverTest, SingleThreadStillDrives) {
-  ParallelDriverReport report = RunOnce(1, true);
+  ParallelDriverReport report = RunOnce(1);
   EXPECT_EQ(report.arrivals, 64u);
   EXPECT_EQ(report.completed, 64u);
 }

@@ -1,7 +1,7 @@
-// MPSC submission-queue tests: both backends must deliver every pushed
-// item exactly once, preserve each producer's FIFO order, and publish
-// the producer's writes to the consumer (the queue-handoff
-// happens-before rule the sharded front end relies on).
+// MPSC submission-queue tests: the queue must deliver every pushed item
+// exactly once, preserve each producer's FIFO order, and publish the
+// producer's writes to the consumer (the queue-handoff happens-before
+// rule the sharded front end relies on).
 
 #include "util/mpsc_queue.h"
 
@@ -20,13 +20,8 @@ struct Item {
   uint64_t payload = 0;  // written before Push; checked after WaitPop
 };
 
-class MpscQueueTest : public ::testing::TestWithParam<bool> {
- protected:
-  bool LockFree() const { return GetParam(); }
-};
-
-TEST_P(MpscQueueTest, SingleProducerFifo) {
-  MpscQueue<Item> queue(LockFree());
+TEST(MpscQueueTest, SingleProducerFifo) {
+  LockFreeMpscQueue<Item> queue;
   for (uint64_t i = 0; i < 100; ++i) {
     queue.Push(Item{0, i, i * 3});
   }
@@ -39,8 +34,8 @@ TEST_P(MpscQueueTest, SingleProducerFifo) {
   EXPECT_FALSE(queue.TryPop(&leftover));
 }
 
-TEST_P(MpscQueueTest, TryPopEmptyReturnsFalse) {
-  MpscQueue<Item> queue(LockFree());
+TEST(MpscQueueTest, TryPopEmptyReturnsFalse) {
+  LockFreeMpscQueue<Item> queue;
   Item item;
   EXPECT_FALSE(queue.TryPop(&item));
   queue.Push(Item{1, 7, 21});
@@ -49,10 +44,10 @@ TEST_P(MpscQueueTest, TryPopEmptyReturnsFalse) {
   EXPECT_FALSE(queue.TryPop(&item));
 }
 
-TEST_P(MpscQueueTest, MultiProducerStressDeliversExactlyOncePerProducerFifo) {
+TEST(MpscQueueTest, MultiProducerStressDeliversExactlyOncePerProducerFifo) {
   constexpr uint32_t kProducers = 4;
   constexpr uint64_t kPerProducer = 2000;
-  MpscQueue<Item> queue(LockFree());
+  LockFreeMpscQueue<Item> queue;
 
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -84,19 +79,12 @@ TEST_P(MpscQueueTest, MultiProducerStressDeliversExactlyOncePerProducerFifo) {
   EXPECT_FALSE(queue.TryPop(&leftover));
 }
 
-TEST_P(MpscQueueTest, DestructionWithQueuedItemsDoesNotLeak) {
+TEST(MpscQueueTest, DestructionWithQueuedItemsDoesNotLeak) {
   // Items left behind at destruction are reclaimed (ASan would flag a
   // leak otherwise).
-  MpscQueue<Item> queue(LockFree());
+  LockFreeMpscQueue<Item> queue;
   for (uint64_t i = 0; i < 32; ++i) queue.Push(Item{0, i, i});
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, MpscQueueTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("LockFree")
-                                             : std::string("Mutex");
-                         });
 
 }  // namespace
 }  // namespace gecko
