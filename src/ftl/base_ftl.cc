@@ -371,6 +371,8 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
     // whole group — the first miss is the fetch, the rest coalesce — and
     // the group's data reads may not issue until the fetch retires (it is
     // the newest op on its channel, so busy-until is its completion time).
+    // The image is copied: EvictOne below can commit and erase the block
+    // that holds it.
     ++counters_.miss_fetches;
     counters_.miss_joins += group.size() - 1;
     std::vector<PhysicalAddress> mappings =
@@ -429,8 +431,12 @@ void BaseFtl::IssueMappingFetch(uint64_t tpage) {
   // translation page. The decoded image is discarded: data effects are
   // synchronous in this simulator, so each replay peeks the then-current
   // image instead of a snapshot (correct under concurrent GC migration
-  // and interleaved synchronizations of the page).
-  translation_.ReadTPage(static_cast<TPageId>(tpage), IoPurpose::kTranslation);
+  // and interleaved synchronizations of the page). ReadVersion charges the
+  // read without copying the image; a never-written page costs no IO.
+  const TPageId t = static_cast<TPageId>(tpage);
+  if (translation_.Exists(t)) {
+    translation_.ReadVersion(translation_.Location(t), IoPurpose::kTranslation);
+  }
 }
 
 void BaseFtl::ResolveParkedExtent(IoRequest& request, IoResult* result,

@@ -12,7 +12,8 @@ BlockManager::BlockManager(FlashDevice* device, bool auto_erase_metadata)
       block_type_(device->geometry().num_blocks, PageType::kFree),
       block_temp_(device->geometry().num_blocks, 0),
       meta_live_(device->geometry().num_blocks, 0),
-      free_pool_(stripe_) {
+      free_pool_(stripe_),
+      active_refs_(device->geometry().num_blocks, 0) {
   for (BlockId b = 0; b < device->geometry().num_blocks; ++b) {
     PushFreeBlock(b);  // refuses factory-bad blocks
   }
@@ -21,7 +22,8 @@ BlockManager::BlockManager(FlashDevice* device, bool auto_erase_metadata)
 
 void BlockManager::ConfigureTempClasses(uint32_t num_classes) {
   GECKO_CHECK_GE(num_classes, 1u);
-  GECKO_CHECK(!IsActiveAnywhere())
+  GECKO_CHECK(std::all_of(active_refs_.begin(), active_refs_.end(),
+                          [](uint8_t refs) { return refs == 0; }))
       << "temperature classes must be configured before the first allocation";
   temp_classes_ = num_classes;
   actives_[static_cast<int>(PageType::kUser)].assign(
@@ -29,13 +31,13 @@ void BlockManager::ConfigureTempClasses(uint32_t num_classes) {
   user_next_slot_.assign(temp_classes_, 0);
 }
 
-bool BlockManager::IsActiveAnywhere() const {
-  for (const auto& actives : actives_) {
-    for (const PhysicalAddress& a : actives) {
-      if (a.IsValid()) return true;
-    }
+void BlockManager::SetActive(PhysicalAddress& slot, PhysicalAddress value) {
+  if (slot.IsValid()) {
+    GECKO_CHECK_GT(active_refs_[slot.block], 0u);
+    --active_refs_[slot.block];
   }
-  return false;
+  if (value.IsValid()) ++active_refs_[value.block];
+  slot = value;
 }
 
 std::vector<PhysicalAddress>& BlockManager::ActivesFor(PageType type) {
@@ -108,7 +110,7 @@ PhysicalAddress BlockManager::AllocatePage(PageType type, uint32_t stream,
 #endif
     block_type_[block] = type;
     block_temp_[block] = temp;
-    *active = PhysicalAddress{block, 0};
+    SetActive(*active, PhysicalAddress{block, 0});
     // A metadata block can become fully invalid while it is still the
     // active append target (stream-affine placement makes this common: a
     // block's own later pages supersede its earlier ones). The erase
@@ -150,7 +152,7 @@ void BlockManager::OnProgramFailed(PhysicalAddress addr) {
   // fully-invalid-metadata policy) reclaims the block.
   for (auto& actives : actives_) {
     for (PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == addr.block) a = kNullAddress;
+      if (a.IsValid() && a.block == addr.block) SetActive(a, kNullAddress);
     }
   }
   // Vacating the slot skips the usual retire-time re-check; a fully
@@ -202,15 +204,6 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
   return true;
 }
 
-bool BlockManager::IsActive(BlockId block) const {
-  for (const auto& actives : actives_) {
-    for (const PhysicalAddress& a : actives) {
-      if (a.IsValid() && a.block == block) return true;
-    }
-  }
-  return false;
-}
-
 void BlockManager::Pin(BlockId block, uint64_t seq) {
   auto it = pinned_.find(block);
   if (it == pinned_.end() || it->second < seq) pinned_[block] = seq;
@@ -253,7 +246,7 @@ void BlockManager::ResetRamState() {
   std::fill(meta_live_.begin(), meta_live_.end(), 0u);
   free_pool_.Clear();
   for (auto& actives : actives_) {
-    std::fill(actives.begin(), actives.end(), kNullAddress);
+    for (PhysicalAddress& a : actives) SetActive(a, kNullAddress);
   }
   next_slot_.fill(0);
   std::fill(user_next_slot_.begin(), user_next_slot_.end(), 0u);
@@ -316,8 +309,8 @@ void BlockManager::RecoverFromBid(const std::vector<BidEntry>& bid) {
     for (uint32_t slot = 0; slot < partials.size(); ++slot) {
       const Partial& p = partials[slot];
       if (p.block != kInvalidU32) {
-        actives[slot] =
-            PhysicalAddress{p.block, device_->PagesWritten(p.block)};
+        SetActive(actives[slot],
+                  PhysicalAddress{p.block, device_->PagesWritten(p.block)});
       }
     }
   }

@@ -75,7 +75,8 @@ class BlockManager : public PageAllocator {
 
   PageType BlockType(BlockId block) const { return block_type_[block]; }
   /// Whether `block` is any group's active append block (any stripe slot).
-  bool IsActive(BlockId block) const;
+  /// O(1): GC victim scans ask this of every non-free block.
+  bool IsActive(BlockId block) const { return active_refs_[block] != 0; }
   bool IsPinned(BlockId block) const { return pinned_.count(block) > 0; }
   uint32_t NumFreeBlocks() const { return free_pool_.size(); }
   /// Smallest the free pool has ever been right after a block was taken.
@@ -151,7 +152,9 @@ class BlockManager : public PageAllocator {
 
  private:
   std::vector<PhysicalAddress>& ActivesFor(PageType type);
-  bool IsActiveAnywhere() const;
+  /// Points active slot `slot` at `value`, keeping active_refs_ in step.
+  /// Every change of a slot's block goes through here.
+  void SetActive(PhysicalAddress& slot, PhysicalAddress value);
   void PushFreeBlock(BlockId block);
   void MaybeEraseMetadataBlock(BlockId block);
   IoPurpose ErasePurposeFor(PageType type) const;
@@ -172,6 +175,8 @@ class BlockManager : public PageAllocator {
   /// Active append blocks, one vector of `stripe_` slots per group
   /// (temp_classes_ * stripe_ for the user group).
   std::array<std::vector<PhysicalAddress>, 4> actives_;
+  /// Per block: how many active slots point at it (IsActive).
+  std::vector<uint8_t> active_refs_;
   /// Round-robin cursor per metadata group (the user group keeps one
   /// cursor per temperature class below).
   std::array<uint32_t, 4> next_slot_{};

@@ -4,98 +4,181 @@
 
 namespace gecko {
 
+MappingCache::MappingCache(uint32_t capacity) : capacity_(capacity) {
+  GECKO_CHECK_GT(capacity, 0u);
+  GECKO_CHECK_LT(capacity, 1u << 30);
+  uint32_t bits = kRunBits + 1;
+  while ((1u << bits) < 2 * capacity) ++bits;
+  index_.assign(size_t{1} << bits, Slot{});
+  mask_ = (1u << bits) - 1;
+  shift_ = 64 - (bits - kRunBits);
+  nodes_.reserve(capacity);
+}
+
+uint32_t MappingCache::Home(Lpn lpn) const {
+  // Fibonacci hashing of the lpn's run of 2^kRunBits consecutive lpns; the
+  // run's lpns get consecutive home slots, so DirtyInRange's probes of one
+  // translation page share cache lines instead of touching one each.
+  const uint64_t run = ((lpn >> kRunBits) * 0x9E3779B97F4A7C15ull) >> shift_;
+  return static_cast<uint32_t>(run << kRunBits) |
+         (lpn & ((1u << kRunBits) - 1));
+}
+
+uint32_t MappingCache::Probe(Lpn lpn) const {
+  // The table is at most half full, so every probe meets an empty slot.
+  uint32_t i = Home(lpn);
+  while (index_[i].node != kNil && index_[i].lpn != lpn) i = (i + 1) & mask_;
+  return i;
+}
+
+void MappingCache::Unlink(uint32_t n) {
+  Node& node = nodes_[n];
+  (node.prev == kNil ? lru_ : nodes_[node.prev].next) = node.next;
+  (node.next == kNil ? mru_ : nodes_[node.next].prev) = node.prev;
+}
+
+void MappingCache::LinkAtMru(uint32_t n) {
+  Node& node = nodes_[n];
+  node.prev = mru_;
+  node.next = kNil;
+  (mru_ == kNil ? lru_ : nodes_[mru_].next) = n;
+  mru_ = n;
+}
+
 MappingEntry* MappingCache::Find(Lpn lpn) {
-  auto it = entries_.find(lpn);
-  if (it == entries_.end()) return nullptr;
-  Touch(it);
-  return &it->second.entry;
+  const Slot& slot = index_[Probe(lpn)];
+  if (slot.node == kNil) return nullptr;
+  if (slot.node != mru_) {
+    Unlink(slot.node);
+    LinkAtMru(slot.node);
+  }
+  return &nodes_[slot.node].entry;
 }
 
 const MappingEntry* MappingCache::Peek(Lpn lpn) const {
-  auto it = entries_.find(lpn);
-  return it == entries_.end() ? nullptr : &it->second.entry;
-}
-
-void MappingCache::Touch(std::map<Lpn, Node>::iterator it) {
-  lru_.splice(lru_.end(), lru_, it->second.lru_it);
+  const Slot& slot = index_[Probe(lpn)];
+  return slot.node == kNil ? nullptr : &nodes_[slot.node].entry;
 }
 
 MappingEntry* MappingCache::Insert(Lpn lpn, const MappingEntry& entry) {
-  GECKO_CHECK(entries_.find(lpn) == entries_.end())
-      << "lpn " << lpn << " already cached";
-  GECKO_CHECK(!NeedsEviction()) << "insert without prior eviction";
-  lru_.push_back(lpn);
-  auto lru_it = std::prev(lru_.end());
-  auto [it, inserted] = entries_.emplace(lpn, Node{entry, lru_it});
-  GECKO_CHECK(inserted);
-  if (entry.dirty) {
-    ++dirty_count_;
-    it->second.entry.dirty_epoch = epoch_;
-  }
-  return &it->second.entry;
+  uint32_t slot = Probe(lpn);
+  GECKO_CHECK(index_[slot].node == kNil) << "lpn " << lpn << " already cached";
+  return InsertAt(slot, lpn, entry);
 }
 
 MappingEntry* MappingCache::InsertIfAbsent(Lpn lpn,
                                            const MappingEntry& entry) {
-  auto it = entries_.find(lpn);
-  if (it != entries_.end()) return &it->second.entry;
-  return Insert(lpn, entry);
+  uint32_t slot = Probe(lpn);
+  if (index_[slot].node != kNil) return &nodes_[index_[slot].node].entry;
+  return InsertAt(slot, lpn, entry);
+}
+
+MappingEntry* MappingCache::InsertAt(uint32_t slot, Lpn lpn,
+                                     const MappingEntry& entry) {
+  GECKO_CHECK(!NeedsEviction()) << "insert without prior eviction";
+  uint32_t n = free_;
+  if (n != kNil) {
+    free_ = nodes_[n].next;
+  } else {
+    // Within the reserved capacity: the slab never reallocates.
+    n = static_cast<uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& node = nodes_[n];
+  node.entry = entry;
+  node.lpn = lpn;
+  LinkAtMru(n);
+  index_[slot] = Slot{lpn, n};
+  ++size_;
+  if (entry.dirty) {
+    ++dirty_count_;
+    node.entry.dirty_epoch = epoch_;
+  }
+  return &node.entry;
+}
+
+void MappingCache::EraseSlot(uint32_t hole) {
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole if the hole lies on its probe path, so no tombstones remain.
+  for (uint32_t i = (hole + 1) & mask_; index_[i].node != kNil;
+       i = (i + 1) & mask_) {
+    if (((i - Home(index_[i].lpn)) & mask_) >= ((i - hole) & mask_)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = Slot{};
 }
 
 Lpn MappingCache::PeekLru() const {
-  GECKO_CHECK(!lru_.empty()) << "PeekLru on empty cache";
-  return lru_.front();
+  GECKO_CHECK(size_ > 0) << "PeekLru on empty cache";
+  return nodes_[lru_].lpn;
 }
 
 Lpn MappingCache::PeekEvictionVictim() const {
-  GECKO_CHECK(!lru_.empty()) << "PeekEvictionVictim on empty cache";
-  if (!scorer_ || scan_depth_ <= 1 || lru_.size() < 2) return lru_.front();
+  GECKO_CHECK(size_ > 0) << "PeekEvictionVictim on empty cache";
+  if (!scorer_ || scan_depth_ <= 1 || size_ < 2) return nodes_[lru_].lpn;
   // Scan up to scan_depth_ entries from the LRU end — but never the MRU
   // entry (see the header: a just-inserted miss fill must survive its
   // first use). Ties keep the least-recently-used candidate, so a
   // uniformly-cold window degenerates to pure LRU.
-  uint64_t limit = lru_.size() - 1;
-  if (scan_depth_ < limit) limit = scan_depth_;
-  Lpn victim = lru_.front();
+  uint32_t limit = std::min(scan_depth_, size_ - 1);
+  uint32_t n = lru_;
+  Lpn victim = nodes_[n].lpn;
   uint64_t best = scorer_(victim);
-  auto it = lru_.begin();
-  for (uint64_t i = 1; i < limit; ++i) {
-    ++it;
-    uint64_t score = scorer_(*it);
+  for (uint32_t i = 1; i < limit; ++i) {
+    n = nodes_[n].next;
+    uint64_t score = scorer_(nodes_[n].lpn);
     if (score < best) {
       best = score;
-      victim = *it;
+      victim = nodes_[n].lpn;
     }
   }
   return victim;
 }
 
 void MappingCache::Erase(Lpn lpn) {
-  auto it = entries_.find(lpn);
-  GECKO_CHECK(it != entries_.end());
-  if (it->second.entry.dirty) {
+  uint32_t slot = Probe(lpn);
+  uint32_t n = index_[slot].node;
+  GECKO_CHECK(n != kNil) << "erase of uncached lpn " << lpn;
+  if (nodes_[n].entry.dirty) {
     GECKO_CHECK_GT(dirty_count_, 0u);
     --dirty_count_;
   }
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+  Unlink(n);
+  nodes_[n].next = free_;
+  free_ = n;
+  --size_;
+  EraseSlot(slot);
 }
 
 std::vector<Lpn> MappingCache::DirtyInRange(Lpn lo, Lpn hi) const {
   std::vector<Lpn> out;
-  for (auto it = entries_.lower_bound(lo);
-       it != entries_.end() && it->first <= hi; ++it) {
-    if (it->second.entry.dirty) out.push_back(it->first);
+  if (lo > hi) return out;
+  if (uint64_t{hi} - lo < size_) {
+    // No wider than the cache: probing each lpn yields lpn order directly.
+    for (uint64_t lpn = lo; lpn <= hi; ++lpn) {
+      const Slot& slot = index_[Probe(static_cast<Lpn>(lpn))];
+      if (slot.node != kNil && nodes_[slot.node].entry.dirty) {
+        out.push_back(static_cast<Lpn>(lpn));
+      }
+    }
+    return out;
   }
+  for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
+    const Node& node = nodes_[n];
+    if (node.entry.dirty && node.lpn >= lo && node.lpn <= hi) {
+      out.push_back(node.lpn);
+    }
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool MappingCache::OldestDirty(Lpn* out) const {
-  for (Lpn lpn : lru_) {
-    auto it = entries_.find(lpn);
-    GECKO_CHECK(it != entries_.end());
-    if (it->second.entry.dirty) {
-      *out = lpn;
+  for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
+    if (nodes_[n].entry.dirty) {
+      *out = nodes_[n].lpn;
       return true;
     }
   }
@@ -107,24 +190,33 @@ std::vector<Lpn> MappingCache::TakeCheckpoint() {
   // checkpoint period without an update: synchronize them now so the
   // recovery backward scan stays bounded (Section 4.3).
   std::vector<Lpn> stale;
-  for (const auto& [lpn, node] : entries_) {
-    if (node.entry.dirty && node.entry.dirty_epoch < epoch_) {
-      stale.push_back(lpn);
+  for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
+    const MappingEntry& entry = nodes_[n].entry;
+    if (entry.dirty && entry.dirty_epoch < epoch_) {
+      stale.push_back(nodes_[n].lpn);
     }
   }
+  std::sort(stale.begin(), stale.end());
   ++epoch_;
   return stale;
 }
 
 void MappingCache::Reset() {
-  entries_.clear();
-  lru_.clear();
+  nodes_.clear();  // keeps the reserved capacity
+  std::fill(index_.begin(), index_.end(), Slot{});
+  lru_ = mru_ = free_ = kNil;
+  size_ = 0;
   dirty_count_ = 0;
   epoch_ = 1;
 }
 
 std::vector<Lpn> MappingCache::LruToMruOrder() const {
-  return std::vector<Lpn>(lru_.begin(), lru_.end());
+  std::vector<Lpn> out;
+  out.reserve(size_);
+  for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
+    out.push_back(nodes_[n].lpn);
+  }
+  return out;
 }
 
 }  // namespace gecko

@@ -10,18 +10,31 @@
 //               flags are assumed-true until a synchronization operation
 //               verifies them (Appendix C.3).
 //
-// The cache is a tree (std::map) so synchronization operations can range-
-// scan all entries belonging to one translation page (footnote 6). An
-// intrusive LRU list orders entries by recency and can carry checkpoint
-// symbols (Section 4.3): dummy nodes marking where a checkpoint happened.
+// Entries live in a node slab reserved to the capacity at construction;
+// it never reallocates, so a MappingEntry* returned by Find, Insert or
+// InsertIfAbsent stays valid until that lpn is erased. An open-addressing
+// index (a power-of-two table of at least 2C slots, linear probing,
+// backward-shift deletion) maps lpn -> node, so every lookup, insert and
+// erase is O(1). Each run of eight consecutive lpns hashes to eight
+// consecutive home slots (64 bytes), so probing a range of lpns touches
+// few cache lines. Intrusive prev/next links through the slab order
+// entries by recency (LRU end first).
+//
+// Synchronization operations flush all dirty entries of one translation
+// page together (footnote 6). DirtyInRange returns them in lpn order: it
+// probes each lpn of the range when the range is no wider than the number
+// of cached entries (one translation page is a few hundred lpns), and
+// otherwise walks the entries and sorts the matches.
+//
+// Checkpoints (Section 4.3) are tracked by a per-entry dirtying epoch
+// rather than symbols in the LRU queue; see TakeCheckpoint.
 
 #ifndef GECKOFTL_FTL_MAPPING_CACHE_H_
 #define GECKOFTL_FTL_MAPPING_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -44,9 +57,7 @@ struct MappingEntry {
 
 class MappingCache {
  public:
-  explicit MappingCache(uint32_t capacity) : capacity_(capacity) {
-    GECKO_CHECK_GT(capacity, 0u);
-  }
+  explicit MappingCache(uint32_t capacity);
 
   /// Looks up `lpn` and refreshes its recency. Returns nullptr on miss.
   MappingEntry* Find(Lpn lpn);
@@ -70,7 +81,7 @@ class MappingCache {
   /// caller must still have made room first when the lpn is absent.
   MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry);
 
-  bool NeedsEviction() const { return entries_.size() >= capacity_; }
+  bool NeedsEviction() const { return size_ >= capacity_; }
 
   /// Returns the least-recently-used lpn without removing it.
   Lpn PeekLru() const;
@@ -97,8 +108,8 @@ class MappingCache {
   /// Removes `lpn` from the cache.
   void Erase(Lpn lpn);
 
-  /// Dirty entries whose lpn lies in [lo, hi] — the entries one
-  /// synchronization operation flushes together.
+  /// Dirty entries whose lpn lies in [lo, hi], in lpn order — the entries
+  /// one synchronization operation flushes together.
   std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const;
   /// Every dirty entry, in lpn order.
   std::vector<Lpn> DirtyLpns() const {
@@ -110,8 +121,8 @@ class MappingCache {
   bool OldestDirty(Lpn* out) const;
 
   /// Takes a checkpoint (Section 4.3): returns the dirty lpns whose last
-  /// *update* predates the previous checkpoint, which the caller must
-  /// synchronize, and advances the checkpoint epoch.
+  /// *update* predates the previous checkpoint, in lpn order, which the
+  /// caller must synchronize, and advances the checkpoint epoch.
   ///
   /// The paper describes this as a backward walk of the LRU queue between
   /// two checkpoint symbols. That formulation bounds staleness by *use*
@@ -144,7 +155,7 @@ class MappingCache {
   /// scan's coverage.
   void AdvanceEpoch() { ++epoch_; }
 
-  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t size() const { return size_; }
   uint32_t capacity() const { return capacity_; }
   uint32_t dirty_count() const { return dirty_count_; }
 
@@ -163,18 +174,39 @@ class MappingCache {
   std::vector<Lpn> LruToMruOrder() const;
 
  private:
-  using LruList = std::list<Lpn>;
+  static constexpr uint32_t kNil = std::numeric_limits<uint32_t>::max();
+  /// Runs of 8 consecutive lpns hash together (8 slots = 64 bytes).
+  static constexpr uint32_t kRunBits = 3;
 
   struct Node {
     MappingEntry entry;
-    LruList::iterator lru_it;
+    Lpn lpn = 0;
+    uint32_t prev = kNil;  // toward LRU
+    uint32_t next = kNil;  // toward MRU; the free-list link once erased
+  };
+  /// One index slot; node == kNil marks it empty.
+  struct Slot {
+    Lpn lpn = 0;
+    uint32_t node = kNil;
   };
 
-  void Touch(std::map<Lpn, Node>::iterator it);
+  uint32_t Home(Lpn lpn) const;
+  /// The index slot holding `lpn`, or the empty slot that ends its probe.
+  uint32_t Probe(Lpn lpn) const;
+  MappingEntry* InsertAt(uint32_t slot, Lpn lpn, const MappingEntry& entry);
+  void EraseSlot(uint32_t slot);
+  void Unlink(uint32_t n);
+  void LinkAtMru(uint32_t n);
 
   uint32_t capacity_;
-  std::map<Lpn, Node> entries_;
-  LruList lru_;  // front = LRU, back = MRU
+  std::vector<Node> nodes_;  // slab, reserved to capacity_
+  std::vector<Slot> index_;
+  uint32_t mask_ = 0;   // index_.size() - 1
+  uint32_t shift_ = 0;  // 64 - log2(index_.size() >> kRunBits)
+  uint32_t lru_ = kNil;
+  uint32_t mru_ = kNil;
+  uint32_t free_ = kNil;  // erased nodes, linked through Node::next
+  uint32_t size_ = 0;
   uint32_t dirty_count_ = 0;
   uint64_t epoch_ = 1;
   EvictionScorer scorer_;    // unset = pure LRU eviction

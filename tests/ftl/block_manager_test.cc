@@ -164,6 +164,94 @@ TEST(BlockManagerTest, RecoverFromBidRestoresTypesAndActives) {
   dev.WritePage(next, Spare(PageType::kUser, 99), 99, IoPurpose::kUserWrite);
 }
 
+// IsActive after every kind of active-slot change. GC victim scans trust
+// it to skip the blocks still being appended to.
+
+TEST(BlockManagerTest, ProgramFailRetirementDeactivatesBlock) {
+  FlashDevice dev(SmallGeometry());
+  BlockManager bm(&dev, true);
+  PhysicalAddress a = bm.AllocatePage(PageType::kUser);
+  ASSERT_TRUE(bm.IsActive(a.block));
+  // Below the fail budget (3) the block keeps taking appends.
+  bm.OnProgramFailed(a);
+  bm.OnProgramFailed(a);
+  EXPECT_TRUE(bm.IsActive(a.block));
+  bm.OnProgramFailed(a);
+  EXPECT_TRUE(bm.bad_blocks().ShouldRetire(a.block));
+  EXPECT_FALSE(bm.IsActive(a.block));
+  PhysicalAddress next = bm.AllocatePage(PageType::kUser);
+  EXPECT_NE(next.block, a.block);
+  EXPECT_TRUE(bm.IsActive(next.block));
+}
+
+TEST(BlockManagerTest, NoBlockIsActiveAfterResetRamState) {
+  FlashDevice dev(SmallGeometry());
+  BlockManager bm(&dev, true);
+  const BlockId u = bm.AllocatePage(PageType::kUser).block;
+  const BlockId t = bm.AllocatePage(PageType::kTranslation).block;
+  const BlockId p = bm.AllocatePage(PageType::kPvm).block;
+  EXPECT_TRUE(bm.IsActive(u) && bm.IsActive(t) && bm.IsActive(p));
+  bm.ResetRamState();
+  for (BlockId b = 0; b < dev.geometry().num_blocks; ++b) {
+    EXPECT_FALSE(bm.IsActive(b)) << "block " << b;
+  }
+}
+
+TEST(BlockManagerTest, RecoverFromBidActivatesExactlyThePartialBlocks) {
+  FlashDevice dev(SmallGeometry());
+  BlockManager bm(&dev, true);
+  auto write = [&](PageType type, IoPurpose purpose) {
+    PhysicalAddress p = bm.AllocatePage(type);
+    dev.WritePage(p, Spare(type), 0, purpose);
+    return p.block;
+  };
+  // User: one full block and one partial. Translation: one partial.
+  // PVM: one full block that is still the active at the crash.
+  BlockId user_full = write(PageType::kUser, IoPurpose::kUserWrite);
+  for (int i = 0; i < 3; ++i) write(PageType::kUser, IoPurpose::kUserWrite);
+  BlockId user_partial = write(PageType::kUser, IoPurpose::kUserWrite);
+  write(PageType::kUser, IoPurpose::kUserWrite);
+  BlockId tpage_partial =
+      write(PageType::kTranslation, IoPurpose::kTranslation);
+  BlockId pvm_full = write(PageType::kPvm, IoPurpose::kPvm);
+  for (int i = 0; i < 3; ++i) write(PageType::kPvm, IoPurpose::kPvm);
+  ASSERT_NE(user_full, user_partial);
+  ASSERT_TRUE(bm.IsActive(pvm_full));
+
+  std::vector<BlockManager::BidEntry> bid(dev.geometry().num_blocks);
+  for (BlockId b = 0; b < bid.size(); ++b) {
+    PageReadResult r = dev.ReadSpare({b, 0}, IoPurpose::kRecovery);
+    if (!r.written) continue;
+    bid[b].type = r.spare.type;
+    bid[b].first_seq = r.spare.seq;
+    bid[b].pages_written = dev.PagesWritten(b);
+  }
+  bm.ResetRamState();
+  bm.RecoverFromBid(bid);
+  for (BlockId b = 0; b < bid.size(); ++b) {
+    EXPECT_EQ(bm.IsActive(b), b == user_partial || b == tpage_partial)
+        << "block " << b;
+  }
+}
+
+TEST(BlockManagerTest, EachTemperatureClassKeepsItsOwnActiveBlock) {
+  FlashDevice dev(SmallGeometry());
+  BlockManager bm(&dev, true);
+  bm.ConfigureTempClasses(2);
+  const BlockId hot = bm.AllocatePage(PageType::kUser, kNoStream, 0).block;
+  const BlockId cold = bm.AllocatePage(PageType::kUser, kNoStream, 1).block;
+  EXPECT_NE(hot, cold);
+  EXPECT_TRUE(bm.IsActive(hot));
+  EXPECT_TRUE(bm.IsActive(cold));
+  // Filling the hot class's block rolls only that class over.
+  for (int i = 0; i < 4; ++i) bm.AllocatePage(PageType::kUser, kNoStream, 0);
+  const BlockId hot_next = bm.AllocatePage(PageType::kUser, kNoStream, 0).block;
+  EXPECT_NE(hot_next, hot);
+  EXPECT_FALSE(bm.IsActive(hot));
+  EXPECT_TRUE(bm.IsActive(hot_next));
+  EXPECT_TRUE(bm.IsActive(cold));
+}
+
 TEST(BlockManagerDeathTest, ExhaustionAborts) {
   FlashDevice dev(SmallGeometry());
   BlockManager bm(&dev, true);

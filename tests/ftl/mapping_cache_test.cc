@@ -1,8 +1,16 @@
 #include "ftl/mapping_cache.h"
 
+#include <algorithm>
+#include <limits>
+#include <list>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/ftl/ftl_test_util.h"
+#include "util/random.h"
 
 namespace gecko {
 namespace {
@@ -316,6 +324,322 @@ TEST(MappingCacheDeathTest, InsertBeyondCapacityAborts) {
   cache.Insert(1, E(1));
   EXPECT_DEATH(cache.Insert(2, E(2)), "eviction");
 }
+
+TEST(MappingCacheTest, EntryPointerSurvivesOtherInsertsAndErases) {
+  // Callers hold a MappingEntry* across cache operations on other lpns;
+  // the node slab never moves a live entry, even when erased nodes are
+  // reused and the cache runs at capacity.
+  constexpr uint32_t kCapacity = 64;
+  MappingCache cache(kCapacity);
+  MappingEntry* kept = cache.Insert(1000, E(7, /*dirty=*/true));
+  MappingEntry* absent = cache.InsertIfAbsent(1001, E(8));
+  for (Lpn lpn = 0; cache.size() < kCapacity; ++lpn) cache.Insert(lpn, E(lpn));
+  for (Lpn lpn = 0; lpn < kCapacity - 2; lpn += 2) cache.Erase(lpn);
+  for (Lpn lpn = 2000; cache.size() < kCapacity; ++lpn) {
+    cache.Insert(lpn, E(lpn));
+  }
+  ASSERT_TRUE(cache.NeedsEviction());
+  EXPECT_EQ(cache.Find(1000), kept);
+  EXPECT_EQ(cache.InsertIfAbsent(1001, E(9)), absent);
+  EXPECT_EQ(kept->ppa.block, 7u);
+  EXPECT_TRUE(kept->dirty);
+  EXPECT_EQ(absent->ppa.block, 8u);
+  kept->uip = true;  // writes through the pointer reach later lookups
+  EXPECT_TRUE(cache.Peek(1000)->uip);
+}
+
+// Reference model: the cache's contract in its most direct form, a std::map
+// keyed by lpn plus a std::list in recency order. The differential test
+// below holds MappingCache to this model's observable behaviour.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(uint32_t capacity) : capacity_(capacity) {}
+
+  MappingEntry* Find(Lpn lpn) {
+    auto it = entries_.find(lpn);
+    if (it == entries_.end()) return nullptr;
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    return &it->second.entry;
+  }
+  const MappingEntry* Peek(Lpn lpn) const {
+    auto it = entries_.find(lpn);
+    return it == entries_.end() ? nullptr : &it->second.entry;
+  }
+  bool Contains(Lpn lpn) const { return Peek(lpn) != nullptr; }
+  MappingEntry* Insert(Lpn lpn, const MappingEntry& entry) {
+    lru_.push_back(lpn);
+    auto [it, inserted] =
+        entries_.emplace(lpn, Node{entry, std::prev(lru_.end())});
+    if (entry.dirty) {
+      ++dirty_count_;
+      it->second.entry.dirty_epoch = epoch_;
+    }
+    return &it->second.entry;
+  }
+  MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry) {
+    auto it = entries_.find(lpn);
+    if (it != entries_.end()) return &it->second.entry;
+    return Insert(lpn, entry);
+  }
+  bool NeedsEviction() const { return entries_.size() >= capacity_; }
+  void SetEvictionPolicy(MappingCache::EvictionScorer scorer,
+                         uint32_t scan_depth) {
+    scorer_ = std::move(scorer);
+    scan_depth_ = scan_depth;
+  }
+  Lpn PeekEvictionVictim() const {
+    if (!scorer_ || scan_depth_ <= 1 || lru_.size() < 2) return lru_.front();
+    uint64_t limit = lru_.size() - 1;
+    if (scan_depth_ < limit) limit = scan_depth_;
+    Lpn victim = lru_.front();
+    uint64_t best = scorer_(victim);
+    auto it = lru_.begin();
+    for (uint64_t i = 1; i < limit; ++i) {
+      ++it;
+      uint64_t score = scorer_(*it);
+      if (score < best) {
+        best = score;
+        victim = *it;
+      }
+    }
+    return victim;
+  }
+  void Erase(Lpn lpn) {
+    auto it = entries_.find(lpn);
+    if (it->second.entry.dirty) --dirty_count_;
+    lru_.erase(it->second.lru_it);
+    entries_.erase(it);
+  }
+  std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const {
+    std::vector<Lpn> out;
+    for (auto it = entries_.lower_bound(lo);
+         it != entries_.end() && it->first <= hi; ++it) {
+      if (it->second.entry.dirty) out.push_back(it->first);
+    }
+    return out;
+  }
+  bool OldestDirty(Lpn* out) const {
+    for (Lpn lpn : lru_) {
+      if (entries_.at(lpn).entry.dirty) {
+        *out = lpn;
+        return true;
+      }
+    }
+    return false;
+  }
+  std::vector<Lpn> TakeCheckpoint() {
+    std::vector<Lpn> stale;
+    for (const auto& [lpn, node] : entries_) {
+      if (node.entry.dirty && node.entry.dirty_epoch < epoch_) {
+        stale.push_back(lpn);
+      }
+    }
+    ++epoch_;
+    return stale;
+  }
+  void MarkDirty(MappingEntry* entry) {
+    if (!entry->dirty) {
+      entry->dirty = true;
+      ++dirty_count_;
+    }
+    entry->dirty_epoch = epoch_;
+  }
+  void AdvanceEpoch() { ++epoch_; }
+  void NoteCleaned() { --dirty_count_; }
+  void Reset() {
+    entries_.clear();
+    lru_.clear();
+    dirty_count_ = 0;
+    epoch_ = 1;
+  }
+  uint64_t epoch() const { return epoch_; }
+  uint32_t size() const { return static_cast<uint32_t>(entries_.size()); }
+  uint32_t dirty_count() const { return dirty_count_; }
+  std::vector<Lpn> LruToMruOrder() const {
+    return std::vector<Lpn>(lru_.begin(), lru_.end());
+  }
+
+ private:
+  struct Node {
+    MappingEntry entry;
+    std::list<Lpn>::iterator lru_it;
+  };
+  uint32_t capacity_;
+  std::map<Lpn, Node> entries_;
+  std::list<Lpn> lru_;  // front = LRU
+  uint32_t dirty_count_ = 0;
+  uint64_t epoch_ = 1;
+  MappingCache::EvictionScorer scorer_;
+  uint32_t scan_depth_ = 1;
+};
+
+void ExpectSameEntry(const MappingEntry* got, const MappingEntry* want) {
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  if (got == nullptr) return;
+  EXPECT_EQ(got->ppa.block, want->ppa.block);
+  EXPECT_EQ(got->ppa.page, want->ppa.page);
+  EXPECT_EQ(got->dirty, want->dirty);
+  EXPECT_EQ(got->uip, want->uip);
+  EXPECT_EQ(got->uncertain, want->uncertain);
+  EXPECT_EQ(got->dirty_epoch, want->dirty_epoch);
+}
+
+// Compares everything the FTL reads back in bulk: recency order, the
+// eviction and dirty-cap candidates, and DirtyInRange on both sides of its
+// probe/walk threshold.
+void ExpectSameBulkState(const MappingCache& cache, const ReferenceCache& ref,
+                         Lpn page_lo) {
+  ASSERT_EQ(cache.LruToMruOrder(), ref.LruToMruOrder());
+  EXPECT_EQ(cache.epoch(), ref.epoch());
+  Lpn got = 0;
+  Lpn want = 0;
+  ASSERT_EQ(cache.OldestDirty(&got), ref.OldestDirty(&want));
+  EXPECT_EQ(got, want);
+  if (ref.size() > 0) {
+    EXPECT_EQ(cache.PeekEvictionVictim(), ref.PeekEvictionVictim());
+  }
+  // One 512-lpn translation page, the whole range, and ranges exactly as
+  // wide as the cache (probed) and one wider (walked), from the page start
+  // and from an lpn inside a hash run.
+  const Lpn kMax = std::numeric_limits<Lpn>::max();
+  const uint64_t size = ref.size();
+  for (uint64_t lo : {uint64_t{page_lo}, uint64_t{page_lo} + 3}) {
+    for (uint64_t width : {uint64_t{512}, std::max<uint64_t>(size, 1),
+                           size + 1}) {
+      const Lpn hi = static_cast<Lpn>(std::min<uint64_t>(lo + width - 1, kMax));
+      EXPECT_EQ(cache.DirtyInRange(static_cast<Lpn>(lo), hi),
+                ref.DirtyInRange(static_cast<Lpn>(lo), hi))
+          << "range [" << lo << ", " << hi << "]";
+    }
+  }
+  EXPECT_EQ(cache.DirtyLpns(), ref.DirtyInRange(0, kMax));
+}
+
+uint64_t TestScore(Lpn lpn) { return (uint64_t{lpn} * 2654435761u) % 7; }
+
+/// (capacity, whether a hotness scorer drives eviction).
+using DifferentialParam = std::tuple<uint32_t, bool>;
+
+class MappingCacheDifferentialTest
+    : public ::testing::TestWithParam<DifferentialParam> {};
+
+TEST_P(MappingCacheDifferentialTest, MatchesReferenceModel) {
+  const auto [capacity, scored] = GetParam();
+  const uint64_t seed = FuzzSeed(14);
+  GECKO_TRACE_FUZZ_SEED(seed);
+  Rng rng(seed);
+  MappingCache cache(capacity);
+  ReferenceCache ref(capacity);
+  if (scored) {
+    cache.SetEvictionPolicy(TestScore, /*scan_depth=*/8);
+    ref.SetEvictionPolicy(TestScore, /*scan_depth=*/8);
+  }
+  // Four lpns per cache slot, one in eight of them at the top of the lpn
+  // range, so lookups both hit and miss and DirtyInRange meets the end of
+  // the lpn space.
+  const uint64_t space = 4 * uint64_t{capacity} + 16;
+  auto pick = [&] {
+    uint64_t r = rng.Uniform(space);
+    return static_cast<Lpn>(r % 8 == 7 ? std::numeric_limits<Lpn>::max() - r
+                                       : r);
+  };
+  auto random_entry = [&] {
+    MappingEntry e;
+    e.ppa = PhysicalAddress{static_cast<BlockId>(rng.Uniform(4096)),
+                            static_cast<uint32_t>(rng.Uniform(64))};
+    e.dirty = rng.Bernoulli(0.5);
+    e.uip = rng.Bernoulli(0.3);
+    e.uncertain = rng.Bernoulli(0.1);
+    e.dirty_epoch = rng.Uniform(8);
+    return e;
+  };
+  // Evicts like BaseFtl: erase PeekEvictionVictim until there is room.
+  auto make_room = [&] {
+    while (ref.NeedsEviction()) {
+      ASSERT_TRUE(cache.NeedsEviction());
+      const Lpn victim = ref.PeekEvictionVictim();
+      ASSERT_EQ(cache.PeekEvictionVictim(), victim);
+      cache.Erase(victim);
+      ref.Erase(victim);
+    }
+    ASSERT_FALSE(cache.NeedsEviction());
+  };
+
+  constexpr int kOps = 100000;
+  for (int op = 0; op < kOps; ++op) {
+    SCOPED_TRACE(::testing::Message() << "op " << op);
+    const Lpn lpn = pick();
+    const uint64_t kind = rng.Uniform(100);
+    if (kind < 30) {  // Insert (a Find when already cached)
+      if (ref.Contains(lpn)) {
+        ExpectSameEntry(cache.Find(lpn), ref.Find(lpn));
+      } else {
+        make_room();
+        const MappingEntry e = random_entry();
+        ExpectSameEntry(cache.Insert(lpn, e), ref.Insert(lpn, e));
+      }
+    } else if (kind < 50) {
+      ExpectSameEntry(cache.Find(lpn), ref.Find(lpn));
+    } else if (kind < 60) {
+      ExpectSameEntry(cache.Peek(lpn), ref.Peek(lpn));
+      EXPECT_EQ(cache.Contains(lpn), ref.Contains(lpn));
+    } else if (kind < 70) {
+      if (!ref.Contains(lpn)) make_room();
+      const MappingEntry e = random_entry();
+      ExpectSameEntry(cache.InsertIfAbsent(lpn, e), ref.InsertIfAbsent(lpn, e));
+    } else if (kind < 80) {
+      if (ref.Contains(lpn)) {
+        cache.Erase(lpn);
+        ref.Erase(lpn);
+      }
+    } else if (kind < 88) {
+      MappingEntry* got = cache.Find(lpn);
+      MappingEntry* want = ref.Find(lpn);
+      ASSERT_EQ(got == nullptr, want == nullptr);
+      if (got != nullptr) {
+        cache.MarkDirty(got);
+        ref.MarkDirty(want);
+      }
+    } else if (kind < 94) {  // a synchronization cleaning one entry
+      MappingEntry* got = cache.Find(lpn);
+      MappingEntry* want = ref.Find(lpn);
+      ASSERT_EQ(got == nullptr, want == nullptr);
+      if (got != nullptr && want->dirty) {
+        got->dirty = want->dirty = false;
+        got->uip = want->uip = false;
+        cache.NoteCleaned();
+        ref.NoteCleaned();
+      }
+    } else if (kind < 97) {
+      ASSERT_EQ(cache.TakeCheckpoint(), ref.TakeCheckpoint());
+    } else if (kind < 99) {
+      cache.AdvanceEpoch();
+      ref.AdvanceEpoch();
+    } else if (rng.Uniform(200) == 0) {
+      cache.Reset();
+      ref.Reset();
+    }
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(cache.size(), ref.size());
+    ASSERT_EQ(cache.dirty_count(), ref.dirty_count());
+    if (op % 293 == 0) {
+      ExpectSameBulkState(cache, ref, pick() / 512 * 512);
+      if (HasFatalFailure() || HasNonfatalFailure()) return;
+    }
+  }
+}
+
+std::string DifferentialParamName(
+    const ::testing::TestParamInfo<DifferentialParam>& info) {
+  return "Cap" + std::to_string(std::get<0>(info.param)) +
+         (std::get<1>(info.param) ? "_Scored" : "_Lru");
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, MappingCacheDifferentialTest,
+                         ::testing::Combine(::testing::Values(1u, 3u, 64u,
+                                                              1024u),
+                                            ::testing::Bool()),
+                         DifferentialParamName);
 
 }  // namespace
 }  // namespace gecko
