@@ -13,7 +13,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Ablation C: checkpoint period sweep (Section 4.3)",
               "checkpoints add negligible WA while bounding the recovery "
               "scan to ~2*period spare reads");
@@ -54,10 +55,10 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(totals[1] < totals[4] * 1.15 + 0.05,
-             "checkpoints at period=C cost little extra WA vs no "
-             "checkpoints");
-  PrintCheck(scans[0] <= scans[2],
-             "shorter periods shrink the recovery backward scan");
-  return 0;
+  h.Check(totals[1] < totals[4] * 1.15 + 0.05,
+          "checkpoints at period=C cost little extra WA vs no "
+          "checkpoints");
+  h.Check(scans[0] <= scans[2],
+          "shorter periods shrink the recovery backward scan");
+  return h.ExitCode();
 }

@@ -12,7 +12,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Ablation B: metadata-aware GC vs greedy GC (Section 4.2)",
               "never garbage-collecting metadata blocks reduces translation "
               "and metadata WA");
@@ -50,11 +51,11 @@ int main() {
 
   double meta_greedy = results[0].translation + results[0].page_validity;
   double meta_aware = results[1].translation + results[1].page_validity;
-  PrintCheck(meta_aware <= meta_greedy + 0.02,
-             "metadata-aware GC does not migrate metadata (metadata WA " +
-                 TablePrinter::Fmt(meta_greedy, 3) + " -> " +
-                 TablePrinter::Fmt(meta_aware, 3) + ")");
-  PrintCheck(results[1].total <= results[0].total + 0.05,
-             "total WA with the metadata-aware policy is at least as good");
-  return 0;
+  h.Check(meta_aware <= meta_greedy + 0.02,
+          "metadata-aware GC does not migrate metadata (metadata WA " +
+              TablePrinter::Fmt(meta_greedy, 3) + " -> " +
+              TablePrinter::Fmt(meta_aware, 3) + ")");
+  h.Check(results[1].total <= results[0].total + 0.05,
+          "total WA with the metadata-aware policy is at least as good");
+  return h.ExitCode();
 }

@@ -9,7 +9,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Ablation A: two-way vs multi-way merging (Appendix A)",
               "multi-way merging reduces merge writes by ~1/T");
 
@@ -42,14 +43,14 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(writes[1][0] < writes[0][0],
-             "multi-way writes less than two-way at T=2");
+  h.Check(writes[1][0] < writes[0][0],
+          "multi-way writes less than two-way at T=2");
   double saving_t2 = 1.0 - static_cast<double>(writes[1][0]) / writes[0][0];
   double saving_t4 = 1.0 - static_cast<double>(writes[1][1]) / writes[0][1];
-  PrintCheck(saving_t2 > saving_t4 - 0.25,
-             "savings are on the order of 1/T (T=2: " +
-                 TablePrinter::Fmt(100 * saving_t2, 1) + "%, T=4: " +
-                 TablePrinter::Fmt(100 * saving_t4, 1) + "%)");
-  PrintCheck(wa[1][0] <= wa[0][0], "multi-way never hurts WA");
-  return 0;
+  h.Check(saving_t2 > saving_t4 - 0.25,
+          "savings are on the order of 1/T (T=2: " +
+              TablePrinter::Fmt(100 * saving_t2, 1) + "%, T=4: " +
+              TablePrinter::Fmt(100 * saving_t4, 1) + "%)");
+  h.Check(wa[1][0] <= wa[0][0], "multi-way never hurts WA");
+  return h.ExitCode();
 }

@@ -105,7 +105,8 @@ RunResult RunOne(const Trace& trace, uint32_t batch_size, double trim_mix,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Harness h(argc, argv);
   bench::PrintHeader(
       "Batched submission: metadata writes and throughput vs batch size",
       "Submit() with a multi-page batch performs fewer translation-page/PVM "
@@ -157,7 +158,7 @@ int main() {
 
   RunResult single = RunOne<GeckoFtl>(trace, 1, 0.0);
   RunResult batched = RunOne<GeckoFtl>(trace, 32, 0.0);
-  bench::PrintCheck(
+  h.Check(
       batched.translation_writes + batched.pvm_writes <
           single.translation_writes + single.pvm_writes,
       "32-page batches perform fewer translation+PVM flash writes than "
@@ -165,5 +166,5 @@ int main() {
           std::to_string(batched.translation_writes + batched.pvm_writes) +
           " vs " +
           std::to_string(single.translation_writes + single.pvm_writes) + ")");
-  return 0;
+  return h.ExitCode();
 }

@@ -13,14 +13,11 @@
 //
 // Flags: --json P write machine-readable results to path P
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ftl/baseline_ftls.h"
-#include "ftl/gecko_ftl.h"
 #include "sim/ftl_experiment.h"
 #include "util/table_printer.h"
 #include "workload/trace.h"
@@ -45,19 +42,6 @@ Geometry BenchGeometry(uint32_t channels) {
   return g;
 }
 
-std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device,
-                          uint32_t cache) {
-  if (name == "GeckoFTL")
-    return std::make_unique<GeckoFtl>(device, GeckoFtl::DefaultConfig(cache));
-  if (name == "DFTL")
-    return std::make_unique<DftlFtl>(device, DftlFtl::DefaultConfig(cache));
-  if (name == "LazyFTL")
-    return std::make_unique<LazyFtl>(device, LazyFtl::DefaultConfig(cache));
-  if (name == "uFTL")
-    return std::make_unique<MuFtl>(device, MuFtl::DefaultConfig(cache));
-  return std::make_unique<IbFtl>(device, IbFtl::DefaultConfig(cache));
-}
-
 struct RunResult {
   double elapsed_us = 0;     // simulated time for the measured updates
   double kpages_per_sec = 0; // simulated throughput (logical pages)
@@ -67,7 +51,7 @@ struct RunResult {
 RunResult RunOne(const std::string& name, const Trace& trace,
                  uint32_t num_channels) {
   FlashDevice device(BenchGeometry(num_channels));
-  auto ftl = Make(name, &device, kCache);
+  auto ftl = MakeFtl(name, &device, DefaultFtlConfig(name, kCache));
   FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/kBatch);
   GECKO_CHECK(ftl->Flush().ok());
 
@@ -97,52 +81,25 @@ struct SweepRow {
   double speedup = 1.0;  // elapsed vs the same FTL's 1-channel run
 };
 
-void WriteJson(const char* path, const std::vector<SweepRow>& rows,
-               const std::vector<std::pair<std::string, double>>& gates) {
-  std::FILE* f = std::fopen(path, "w");
-  GECKO_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"bench\": \"channel_scaling\",\n");
-  std::fprintf(f, "  \"span_lpns\": %llu,\n  \"batch\": %u,\n",
-               static_cast<unsigned long long>(kSpan), kBatch);
-  std::fprintf(f, "  \"update_extents\": %llu,\n",
-               static_cast<unsigned long long>(kOps));
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"ftl\": \"%s\", \"channels\": %u, \"elapsed_ms\": %.3f, "
-        "\"kpages_per_sec\": %.3f, \"speedup_vs_1ch\": %.3f, "
-        "\"mean_utilization\": %.3f, \"max_queue_depth\": %u}%s\n",
-        r.ftl.c_str(), r.channels, r.result.elapsed_us / 1000.0,
-        r.result.kpages_per_sec, r.speedup,
-        r.result.channels.MeanUtilization(),
-        r.result.channels.max_queue_depth, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"gates\": [\n");
-  for (size_t i = 0; i < gates.size(); ++i) {
-    std::fprintf(f, "    {\"ftl\": \"%s\", \"speedup_8ch\": %.3f, "
-                    "\"pass\": %s}%s\n",
-                 gates[i].first.c_str(), gates[i].second,
-                 gates[i].second >= 3.0 ? "true" : "false",
-                 i + 1 < gates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
+const std::vector<Column<SweepRow>> kColumns = {
+    {"FTL", "ftl", "%s", "\"%s\"", [](auto& r) { return r.ftl; }},
+    {"ch", "channels", "%llu", "%llu", [](auto& r) { return r.channels; }},
+    {"elapsed ms", "elapsed_ms", "%.1f", "%.3f",
+     [](auto& r) { return r.result.elapsed_us / 1000.0; }},
+    {"kpages/s", "kpages_per_sec", "%.1f", "%.3f",
+     [](auto& r) { return r.result.kpages_per_sec; }},
+    {"speedup", "speedup_vs_1ch", "%.2f", "%.3f",
+     [](auto& r) { return r.speedup; }},
+    {"mean util", "mean_utilization", "%.2f", "%.3f",
+     [](auto& r) { return r.result.channels.MeanUtilization(); }},
+    {"max qdepth", "max_queue_depth", "%llu", "%llu",
+     [](auto& r) { return r.result.channels.max_queue_depth; }},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  Harness h(argc, argv, Harness::kJson);
   PrintHeader(
       "Channel scaling: simulated throughput vs channel count (1 -> 16)",
       "with channel-striped allocation and per-request batch windows, "
@@ -152,18 +109,13 @@ int main(int argc, char** argv) {
   UniformWorkload uniform(kSpan, 42);
   Trace trace = Trace::Record(uniform, kOps);
   const uint32_t kChannelCounts[] = {1, 2, 4, 8, 16};
-  const char* kFtls[] = {"GeckoFTL", "DFTL", "LazyFTL", "uFTL", "IB-FTL"};
 
   std::printf(
       "\n%u-extent write batches over %u lpns, cache C=%u, simulated time:\n",
       kBatch, unsigned{kSpan}, kCache);
-  TablePrinter table({"FTL", "ch", "elapsed ms", "kpages/s", "speedup",
-                      "mean util", "max qdepth"});
-  bool all_pass = true;
-  double speedup8[5] = {0};
   std::vector<SweepRow> rows;
-  int ftl_index = 0;
-  for (const char* name : kFtls) {
+  std::vector<std::pair<std::string, double>> speedups8;
+  for (const char* name : kFtlNames) {
     double base_elapsed = 0;
     for (uint32_t channels : kChannelCounts) {
       SweepRow row;
@@ -172,19 +124,11 @@ int main(int argc, char** argv) {
       row.result = RunOne(name, trace, channels);
       if (channels == 1) base_elapsed = row.result.elapsed_us;
       row.speedup = base_elapsed / row.result.elapsed_us;
-      if (channels == 8) speedup8[ftl_index] = row.speedup;
-      table.AddRow({name, TablePrinter::Fmt(static_cast<int>(channels)),
-                    TablePrinter::Fmt(row.result.elapsed_us / 1000.0, 1),
-                    TablePrinter::Fmt(row.result.kpages_per_sec, 1),
-                    TablePrinter::Fmt(row.speedup, 2),
-                    TablePrinter::Fmt(row.result.channels.MeanUtilization(), 2),
-                    TablePrinter::Fmt(static_cast<int>(
-                        row.result.channels.max_queue_depth))});
+      if (channels == 8) speedups8.emplace_back(name, row.speedup);
       rows.push_back(std::move(row));
     }
-    ++ftl_index;
   }
-  table.Print();
+  PrintTable(kColumns, rows);
 
   std::printf("\nPer-channel utilization, GeckoFTL at 8 channels:\n");
   RunResult gecko8 = RunOne("GeckoFTL", trace, 8);
@@ -194,17 +138,22 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(gecko8.channels.ops[c]));
   }
 
-  std::vector<std::pair<std::string, double>> gates;
-  ftl_index = 0;
-  for (const char* name : kFtls) {
-    bool ok = speedup8[ftl_index] >= 3.0;
-    all_pass = all_pass && ok;
-    PrintCheck(ok, std::string(name) + ": " +
-                       TablePrinter::Fmt(speedup8[ftl_index], 2) +
-                       "x throughput at 8 channels vs 1");
-    gates.emplace_back(name, speedup8[ftl_index]);
-    ++ftl_index;
+  std::vector<JsonObject> gates;
+  for (const auto& [name, speedup8] : speedups8) {
+    bool ok = speedup8 >= 3.0;
+    h.Check(ok, name + ": " + TablePrinter::Fmt(speedup8, 2) +
+                    "x throughput at 8 channels vs 1");
+    gates.push_back({{"ftl", Quote(name)},
+                     {"speedup_8ch", Printf("%.3f", speedup8)},
+                     {"pass", ok ? "true" : "false"}});
   }
-  if (json_path != nullptr) WriteJson(json_path, rows, gates);
-  return all_pass ? 0 : 1;
+
+  JsonDoc doc("channel_scaling");
+  doc.Add("span_lpns", "%llu", kSpan);
+  doc.Add("batch", "%llu", kBatch);
+  doc.Add("update_extents", "%llu", kOps);
+  doc.AddArray("results", JsonRows(kColumns, rows));
+  doc.AddArray("gates", std::move(gates));
+  h.WriteJson(doc);
+  return h.ExitCode();
 }

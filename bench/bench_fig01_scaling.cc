@@ -12,7 +12,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader(
       "Figure 1: LazyFTL integrated RAM and recovery time vs capacity",
       "RAM reaches ~4 MB at 128 GB (SRAM-hostile) and recovery reaches tens "
@@ -45,14 +46,14 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(ram_128gb >= 3.5 * (1 << 20),
-             "metadata RAM reaches ~4 MB at 128 GB (got " +
-                 TablePrinter::FmtBytes(ram_128gb) + ")");
-  PrintCheck(rec_2tb >= 10.0 && rec_2tb <= 600.0,
-             "recovery takes tens of seconds at 2 TB (got " +
-                 TablePrinter::Fmt(rec_2tb, 1) + " s)");
-  PrintCheck(ram_8tb > 100.0 * ram_64gb,
-             "metadata RAM grows ~linearly with capacity (128x capacity -> " +
-                 TablePrinter::Fmt(ram_8tb / ram_64gb, 1) + "x RAM)");
-  return 0;
+  h.Check(ram_128gb >= 3.5 * (1 << 20),
+          "metadata RAM reaches ~4 MB at 128 GB (got " +
+              TablePrinter::FmtBytes(ram_128gb) + ")");
+  h.Check(rec_2tb >= 10.0 && rec_2tb <= 600.0,
+          "recovery takes tens of seconds at 2 TB (got " +
+              TablePrinter::Fmt(rec_2tb, 1) + " s)");
+  h.Check(ram_8tb > 100.0 * ram_64gb,
+          "metadata RAM grows ~linearly with capacity (128x capacity -> " +
+              TablePrinter::Fmt(ram_8tb / ram_64gb, 1) + "x RAM)");
+  return h.ExitCode();
 }

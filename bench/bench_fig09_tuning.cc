@@ -13,7 +13,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 9: Log. Gecko vs flash PVB across size ratios T",
               "Gecko wins under all tunings; T=2 minimizes WA; "
               "PVB's WA ~ 1 + 1/delta ~ 1.1");
@@ -23,13 +24,8 @@ int main() {
   opt.updates = 60000;
 
   TablePrinter table({"scheme", "pvm writes/10k", "pvm reads/10k", "WA(pvm)"});
-  double pvb_wa = 0;
-  std::vector<std::pair<uint32_t, double>> gecko_wa;  // (T, WA)
-
-  {
-    PvmRunResult r =
-        RunPvmExperiment(StoreKind::kFlashPvb, g, LogGeckoConfig{}, opt);
-    // Average the steady-state windows.
+  // One row per scheme, averaging the steady-state windows.
+  auto add_row = [&table](const std::string& scheme, const PvmRunResult& r) {
     double wr = 0, rd = 0;
     for (auto& [reads, writes] : r.intervals) {
       rd += static_cast<double>(reads);
@@ -37,42 +33,38 @@ int main() {
     }
     wr /= r.intervals.size();
     rd /= r.intervals.size();
-    table.AddRow({"flash PVB", TablePrinter::Fmt(wr, 0),
-                  TablePrinter::Fmt(rd, 0), TablePrinter::Fmt(r.pvm_wa, 3)});
-    pvb_wa = r.pvm_wa;
-  }
+    table.AddRow({scheme, TablePrinter::Fmt(wr, 0), TablePrinter::Fmt(rd, 0),
+                  TablePrinter::Fmt(r.pvm_wa, 3)});
+  };
 
+  PvmRunResult pvb =
+      RunPvmExperiment(StoreKind::kFlashPvb, g, LogGeckoConfig{}, opt);
+  add_row("flash PVB", pvb);
+  const double pvb_wa = pvb.pvm_wa;
+  std::vector<std::pair<uint32_t, double>> gecko_wa;  // (T, WA)
   for (uint32_t t : {2u, 3u, 4u, 8u}) {
     LogGeckoConfig cfg;
     cfg.size_ratio = t;
     cfg.partition_factor = LogGeckoConfig::RecommendedPartitionFactor(g);
     PvmRunResult r = RunPvmExperiment(StoreKind::kGecko, g, cfg, opt);
-    double wr = 0, rd = 0;
-    for (auto& [reads, writes] : r.intervals) {
-      rd += static_cast<double>(reads);
-      wr += static_cast<double>(writes);
-    }
-    wr /= r.intervals.size();
-    rd /= r.intervals.size();
-    table.AddRow({"Gecko T=" + std::to_string(t), TablePrinter::Fmt(wr, 0),
-                  TablePrinter::Fmt(rd, 0), TablePrinter::Fmt(r.pvm_wa, 3)});
+    add_row("Gecko T=" + std::to_string(t), r);
     gecko_wa.emplace_back(t, r.pvm_wa);
   }
   table.Print();
 
-  PrintCheck(pvb_wa > 1.0 && pvb_wa < 1.4,
-             "flash PVB WA ~ 1 + 1/delta (got " +
-                 TablePrinter::Fmt(pvb_wa, 2) + ")");
+  h.Check(pvb_wa > 1.0 && pvb_wa < 1.4,
+          "flash PVB WA ~ 1 + 1/delta (got " +
+              TablePrinter::Fmt(pvb_wa, 2) + ")");
   bool all_win = true;
   for (auto& [t, wa] : gecko_wa) all_win = all_win && wa < pvb_wa;
-  PrintCheck(all_win, "Gecko outperforms the flash PVB under every T");
+  h.Check(all_win, "Gecko outperforms the flash PVB under every T");
   bool t2_best = true;
   for (auto& [t, wa] : gecko_wa) t2_best = t2_best && gecko_wa[0].second <= wa;
-  PrintCheck(t2_best, "T=2 minimizes write-amplification");
+  h.Check(t2_best, "T=2 minimizes write-amplification");
   double reduction = 1.0 - gecko_wa[0].second / pvb_wa;
-  PrintCheck(reduction > 0.9,
-             "WA reduction vs flash PVB is ~98% at paper scale; measured " +
-                 TablePrinter::Fmt(100 * reduction, 1) +
-                 "% at simulation scale");
-  return 0;
+  h.Check(reduction > 0.9,
+          "WA reduction vs flash PVB is ~98% at paper scale; measured " +
+              TablePrinter::Fmt(100 * reduction, 1) +
+              "% at simulation scale");
+  return h.ExitCode();
 }

@@ -11,7 +11,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 10: entry-partitioning vs block size B",
               "S=1 makes WA grow with B; S=B/key keeps it flat; "
               "over-partitioning (S=B) hurts again");
@@ -42,17 +43,17 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(wa_s1.back() > 2.0 * wa_s1.front(),
-             "without partitioning, WA grows with B (" +
-                 TablePrinter::Fmt(wa_s1.front(), 4) + " -> " +
-                 TablePrinter::Fmt(wa_s1.back(), 4) + ")");
-  PrintCheck(wa_rec.back() < 2.0 * wa_rec.front(),
-             "recommended partitioning keeps WA nearly independent of B (" +
-                 TablePrinter::Fmt(wa_rec.front(), 4) + " -> " +
-                 TablePrinter::Fmt(wa_rec.back(), 4) + ")");
-  PrintCheck(wa_max.back() > wa_rec.back(),
-             "over-partitioning re-inflates WA via key space-amplification");
-  PrintCheck(wa_rec.back() < wa_s1.back(),
-             "at large B, partitioning clearly beats no partitioning");
-  return 0;
+  h.Check(wa_s1.back() > 2.0 * wa_s1.front(),
+          "without partitioning, WA grows with B (" +
+              TablePrinter::Fmt(wa_s1.front(), 4) + " -> " +
+              TablePrinter::Fmt(wa_s1.back(), 4) + ")");
+  h.Check(wa_rec.back() < 2.0 * wa_rec.front(),
+          "recommended partitioning keeps WA nearly independent of B (" +
+              TablePrinter::Fmt(wa_rec.front(), 4) + " -> " +
+              TablePrinter::Fmt(wa_rec.back(), 4) + ")");
+  h.Check(wa_max.back() > wa_rec.back(),
+          "over-partitioning re-inflates WA via key space-amplification");
+  h.Check(wa_rec.back() < wa_s1.back(),
+          "at large B, partitioning clearly beats no partitioning");
+  return h.ExitCode();
 }

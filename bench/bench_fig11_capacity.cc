@@ -13,7 +13,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 11: WA vs number of blocks K",
               "Gecko's WA grows logarithmically with K, flash PVB's is "
               "flat, crossover is ~2^100 away");
@@ -38,14 +39,14 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(gecko_was.back() < 0.5 * pvb_was.back(),
-             "Gecko stays far below the flash PVB at every capacity");
+  h.Check(gecko_was.back() < 0.5 * pvb_was.back(),
+          "Gecko stays far below the flash PVB at every capacity");
   // Gecko's growth across a 16x capacity range should be modest
   // (logarithmic: +4 levels on ~8 -> <2x), PVB's flat within noise.
-  PrintCheck(gecko_was.back() < 3.0 * gecko_was.front() + 0.01,
-             "Gecko WA grows slowly (logarithmically) with K");
-  PrintCheck(std::abs(pvb_was.back() - pvb_was.front()) < 0.25,
-             "flash PVB WA is essentially independent of K");
+  h.Check(gecko_was.back() < 3.0 * gecko_was.front() + 0.01,
+          "Gecko WA grows slowly (logarithmically) with K");
+  h.Check(std::abs(pvb_was.back() - pvb_was.front()) < 0.25,
+          "flash PVB WA is essentially independent of K");
 
   // Crossover extrapolation from the analytic model: Gecko's update cost
   // reaches the PVB's (1 write) only when (T/V)*log_T(K*S/V) ~ 1.
@@ -57,7 +58,7 @@ int main() {
   double crossover_log2 = v / 2.0;
   std::printf("Analytic crossover: K would need to grow by ~2^%.0f\n",
               crossover_log2 - std::log2(g.num_blocks));
-  PrintCheck(crossover_log2 > 100,
-             "crossover capacity is astronomically far (paper: ~2^100)");
-  return 0;
+  h.Check(crossover_log2 > 100,
+          "crossover capacity is astronomically far (paper: ~2^100)");
+  return h.ExitCode();
 }

@@ -12,7 +12,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 12: WA vs over-provisioning ratio R",
               "more GC queries at high R, but WA changes little because "
               "flash reads are an order of magnitude cheaper than writes");
@@ -39,12 +40,12 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(queries.back() > 2 * queries.front(),
-             "GC queries become much more frequent as R rises");
-  PrintCheck(was.back() < 4.0 * was.front() + 0.02,
-             "overall WA stays low across all reasonable over-provisioning");
-  PrintCheck(was.back() < 0.2,
-             "even at R=0.9 the metadata WA remains a small fraction of a "
-             "write per update");
-  return 0;
+  h.Check(queries.back() > 2 * queries.front(),
+          "GC queries become much more frequent as R rises");
+  h.Check(was.back() < 4.0 * was.front() + 0.02,
+          "overall WA stays low across all reasonable over-provisioning");
+  h.Check(was.back() < 0.2,
+          "even at R=0.9 the metadata WA remains a small fraction of a "
+          "write per update");
+  return h.ExitCode();
 }

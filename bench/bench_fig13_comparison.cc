@@ -10,8 +10,6 @@
 #include <map>
 
 #include "bench/bench_util.h"
-#include "ftl/baseline_ftls.h"
-#include "ftl/gecko_ftl.h"
 #include "model/ram_model.h"
 #include "model/recovery_model.h"
 #include "sim/ftl_experiment.h"
@@ -19,24 +17,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-namespace {
-
-std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device,
-                          uint32_t cache) {
-  if (name == "GeckoFTL")
-    return std::make_unique<GeckoFtl>(device, GeckoFtl::DefaultConfig(cache));
-  if (name == "DFTL")
-    return std::make_unique<DftlFtl>(device, DftlFtl::DefaultConfig(cache));
-  if (name == "LazyFTL")
-    return std::make_unique<LazyFtl>(device, LazyFtl::DefaultConfig(cache));
-  if (name == "uFTL")
-    return std::make_unique<MuFtl>(device, MuFtl::DefaultConfig(cache));
-  return std::make_unique<IbFtl>(device, IbFtl::DefaultConfig(cache));
-}
-
-}  // namespace
-
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 13: five-FTL comparison (RAM / recovery / WA)",
               "GeckoFTL balances all three axes without a battery: RAM and "
               "recovery near the battery-backed FTLs, WA near the best");
@@ -99,7 +81,7 @@ int main() {
        {std::string("DFTL"), std::string("LazyFTL"), std::string("uFTL"),
         std::string("IB-FTL"), std::string("GeckoFTL")}) {
     FlashDevice device(sim);
-    auto ftl = Make(name, &device, kCache);
+    auto ftl = MakeFtl(name, &device, DefaultFtlConfig(name, kCache));
     FtlExperiment::Fill(*ftl, sim.NumLogicalPages());
     UniformWorkload workload(sim.NumLogicalPages(), 7);
     WaBreakdown b =
@@ -115,24 +97,24 @@ int main() {
   // ---- Qualitative checks ------------------------------------------------
   // Compare metadata RAM (the LRU cache is identical across FTLs).
   double cache_bytes = params.cache_entries * params.cache_entry_bytes;
-  PrintCheck((ram_totals["GeckoFTL"] - cache_bytes) <
-                 0.2 * (ram_totals["DFTL"] - cache_bytes),
-             "GeckoFTL uses a small fraction of DFTL/LazyFTL's metadata RAM");
-  PrintCheck(ram_totals["uFTL"] < ram_totals["GeckoFTL"],
-             "uFTL is slightly below GeckoFTL (B-tree root vs GMD)");
-  PrintCheck(rec_totals["GeckoFTL"] < 0.49 * rec_totals["LazyFTL"] &&
-                 rec_totals["GeckoFTL"] < 0.49 * rec_totals["IB-FTL"],
-             ">=51% recovery-time reduction vs battery-less baselines");
-  PrintCheck(wa_results["uFTL"].page_validity >
-                 4 * wa_results["GeckoFTL"].page_validity,
-             "uFTL's flash PVB dominates its WA; Gecko's metadata WA is low");
-  PrintCheck(wa_results["GeckoFTL"].translation <=
-                 1.25 * wa_results["DFTL"].translation,
-             "checkpoints add only negligible translation WA vs battery-"
-             "backed DFTL");
-  PrintCheck(wa_results["GeckoFTL"].total < wa_results["uFTL"].total &&
-                 wa_results["GeckoFTL"].total < wa_results["LazyFTL"].total,
-             "GeckoFTL's total WA beats the battery-less and flash-PVB "
-             "baselines");
-  return 0;
+  h.Check((ram_totals["GeckoFTL"] - cache_bytes) <
+              0.2 * (ram_totals["DFTL"] - cache_bytes),
+          "GeckoFTL uses a small fraction of DFTL/LazyFTL's metadata RAM");
+  h.Check(ram_totals["uFTL"] < ram_totals["GeckoFTL"],
+          "uFTL is slightly below GeckoFTL (B-tree root vs GMD)");
+  h.Check(rec_totals["GeckoFTL"] < 0.49 * rec_totals["LazyFTL"] &&
+              rec_totals["GeckoFTL"] < 0.49 * rec_totals["IB-FTL"],
+          ">=51% recovery-time reduction vs battery-less baselines");
+  h.Check(wa_results["uFTL"].page_validity >
+              4 * wa_results["GeckoFTL"].page_validity,
+          "uFTL's flash PVB dominates its WA; Gecko's metadata WA is low");
+  h.Check(wa_results["GeckoFTL"].translation <=
+              1.25 * wa_results["DFTL"].translation,
+          "checkpoints add only negligible translation WA vs battery-"
+          "backed DFTL");
+  h.Check(wa_results["GeckoFTL"].total < wa_results["uFTL"].total &&
+              wa_results["GeckoFTL"].total < wa_results["LazyFTL"].total,
+          "GeckoFTL's total WA beats the battery-less and flash-PVB "
+          "baselines");
+  return h.ExitCode();
 }

@@ -16,7 +16,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Figure 14: equal-RAM comparison (DFTL / uFTL / GeckoFTL)",
               "with the PVB's RAM given to the cache instead, sync costs "
               "drop to ~0; GeckoFTL alone also keeps metadata WA low");
@@ -76,12 +77,12 @@ int main() {
   }
   table.Print();
 
-  PrintCheck(muftl_b.translation < 0.5 * dftl_b.translation,
-             "the larger cache slashes translation (sync) overhead");
-  PrintCheck(muftl_b.page_validity > 5 * gecko_b.page_validity,
-             "uFTL pays heavily for its flash PVB; Gecko's metadata WA "
-             "stays low");
-  PrintCheck(gecko_b.total < dftl_b.total && gecko_b.total < muftl_b.total,
-             "GeckoFTL achieves the best of both worlds");
-  return 0;
+  h.Check(muftl_b.translation < 0.5 * dftl_b.translation,
+          "the larger cache slashes translation (sync) overhead");
+  h.Check(muftl_b.page_validity > 5 * gecko_b.page_validity,
+          "uFTL pays heavily for its flash PVB; Gecko's metadata WA "
+          "stays low");
+  h.Check(gecko_b.total < dftl_b.total && gecko_b.total < muftl_b.total,
+          "GeckoFTL achieves the best of both worlds");
+  return h.ExitCode();
 }

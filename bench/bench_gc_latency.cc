@@ -21,18 +21,18 @@
 // Flags: --json P write machine-readable results to path P
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "ftl/gecko_ftl.h"
 #include "sim/ftl_experiment.h"
-#include "workload/bursty_stream.h"
+#include "workload/request_stream.h"
 #include "workload/workload.h"
 
-namespace gecko {
-namespace bench {
+using namespace gecko;
+using namespace gecko::bench;
+
 namespace {
 
 Geometry LatencyGeometry(uint32_t channels) {
@@ -81,17 +81,16 @@ ModeResult RunMode(uint32_t channels, bool incremental, uint64_t seed) {
   // heavy multi-user traffic, and the regime where greedy victims stay
   // dense regardless of when the collector runs.
   HotColdWorkload workload(g.NumLogicalPages(), 0.2, 0.8, seed);
-  BurstyRequestStream::Options options;
-  options.burst_requests = 16;
-  options.idle_slots = 24;
-  options.stream.batch_size = 4;
-  options.stream.seed = seed + 1;
-  BurstyRequestStream stream(&workload, options);
+  RequestStream::Options options;
+  options.batch_size = 4;
+  options.seed = seed + 1;
+  RequestStream stream(&workload, options);
 
   IoCounters before = device.stats().Snapshot();
   ModeResult result;
   result.latency = FtlExperiment::MeasureGcLatency(
-      ftl, device, stream, /*warm_extents=*/6000, /*measure_extents=*/12000,
+      ftl, device, stream, /*burst_requests=*/16, /*idle_slots=*/24,
+      /*warm_extents=*/6000, /*measure_extents=*/12000,
       /*tick_idle=*/incremental);
   IoCounters delta = device.stats().Snapshot() - before;
   result.wa = delta.WriteAmplification(device.stats().latency().Delta());
@@ -107,65 +106,43 @@ struct ModeRow {
   ModeResult result;
 };
 
-void WriteJson(const char* path, const std::vector<ModeRow>& rows,
-               double p99_ratio_at_8, double throughput_delta_at_8) {
-  std::FILE* f = std::fopen(path, "w");
-  GECKO_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"bench\": \"gc_latency\",\n  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ModeRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"channels\": %u, \"mode\": \"%s\", \"p50_us\": %.1f, "
-        "\"p95_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f, "
-        "\"throughput_kops\": %.3f, \"write_amplification\": %.3f, "
-        "\"background_steps\": %llu, \"maint_p95_us\": %.1f, "
-        "\"throttled_steps\": %llu, \"emergency_stalls\": %llu}%s\n",
-        r.channels, r.incremental ? "incremental" : "foreground",
-        r.result.latency.p50_us, r.result.latency.p95_us,
-        r.result.latency.p99_us, r.result.latency.max_us,
-        r.result.latency.throughput_kops, r.result.wa,
-        static_cast<unsigned long long>(r.result.latency.background_steps),
-        r.result.maint_p95_us,
-        static_cast<unsigned long long>(r.result.maintenance.throttled_steps),
-        static_cast<unsigned long long>(r.result.maintenance.emergency_stalls),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"gates\": [\n");
-  std::fprintf(f,
-               "    {\"name\": \"p99_ratio_at_8ch\", \"value\": %.3f, "
-               "\"threshold\": 3.0, \"pass\": %s},\n",
-               p99_ratio_at_8, p99_ratio_at_8 >= 3.0 ? "true" : "false");
-  std::fprintf(f,
-               "    {\"name\": \"throughput_delta_at_8ch\", \"value\": %.4f, "
-               "\"threshold\": -0.10, \"pass\": %s}\n",
-               throughput_delta_at_8,
-               throughput_delta_at_8 >= -0.10 ? "true" : "false");
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
+const std::vector<Column<ModeRow>> kColumns = {
+    {"channels", "channels", "%llu", "%llu",
+     [](auto& r) { return r.channels; }},
+    {"mode", "mode", "%s", "\"%s\"",
+     [](auto& r) { return r.incremental ? "incremental" : "foreground"; }},
+    {"p50 us", "p50_us", "%.0f", "%.1f",
+     [](auto& r) { return r.result.latency.p50_us; }},
+    {"p95 us", "p95_us", "%.0f", "%.1f",
+     [](auto& r) { return r.result.latency.p95_us; }},
+    {"p99 us", "p99_us", "%.0f", "%.1f",
+     [](auto& r) { return r.result.latency.p99_us; }},
+    {"max us", "max_us", "%.0f", "%.1f",
+     [](auto& r) { return r.result.latency.max_us; }},
+    {"thrpt kops", "throughput_kops", "%.2f", "%.3f",
+     [](auto& r) { return r.result.latency.throughput_kops; }},
+    {"WA", "write_amplification", "%.2f", "%.3f",
+     [](auto& r) { return r.result.wa; }},
+    {"bg steps", "background_steps", "%llu", "%llu",
+     [](auto& r) { return r.result.latency.background_steps; }},
+    {"maint p95", "maint_p95_us", "%.0f", "%.1f",
+     [](auto& r) { return r.result.maint_p95_us; }},
+    {"throttled", "throttled_steps", "%llu", "%llu",
+     [](auto& r) { return r.result.maintenance.throttled_steps; }},
+    {"stalls", "emergency_stalls", "%llu", "%llu",
+     [](auto& r) { return r.result.maintenance.emergency_stalls; }},
+};
 
 }  // namespace
 
-int Main(int argc, char** argv) {
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+int main(int argc, char** argv) {
+  Harness h(argc, argv, Harness::kJson);
   PrintHeader(
       "GC tail latency: foreground-only vs incremental maintenance plane",
       "incremental, parallelism-aware collection turns channel bandwidth "
       "into low and predictable latency (GeckoFTL Section 1; the companion "
       "GC paper; LFTL's background GC)");
 
-  TablePrinter table({"channels", "mode", "p50 us", "p95 us", "p99 us",
-                      "max us", "thrpt kops", "WA", "bg steps",
-                      "maint p95", "throttled", "stalls"});
   double p99_ratio_at_8 = 0;
   double throughput_delta_at_8 = 0;
   std::vector<ModeRow> rows;
@@ -174,20 +151,6 @@ int Main(int argc, char** argv) {
     ModeResult inc = RunMode(channels, /*incremental=*/true, 42);
     rows.push_back({channels, false, fg});
     rows.push_back({channels, true, inc});
-    for (const auto* r : {&fg, &inc}) {
-      table.AddRow({TablePrinter::Fmt(uint64_t{channels}),
-                    r == &fg ? "foreground" : "incremental",
-                    TablePrinter::Fmt(r->latency.p50_us, 0),
-                    TablePrinter::Fmt(r->latency.p95_us, 0),
-                    TablePrinter::Fmt(r->latency.p99_us, 0),
-                    TablePrinter::Fmt(r->latency.max_us, 0),
-                    TablePrinter::Fmt(r->latency.throughput_kops, 2),
-                    TablePrinter::Fmt(r->wa, 2),
-                    TablePrinter::Fmt(r->latency.background_steps),
-                    TablePrinter::Fmt(r->maint_p95_us, 0),
-                    TablePrinter::Fmt(r->maintenance.throttled_steps),
-                    TablePrinter::Fmt(r->maintenance.emergency_stalls)});
-    }
     if (channels == 8) {
       p99_ratio_at_8 = inc.latency.p99_us > 0
                            ? fg.latency.p99_us / inc.latency.p99_us
@@ -199,7 +162,7 @@ int Main(int argc, char** argv) {
               : 0;
     }
   }
-  table.Print();
+  PrintTable(kColumns, rows);
 
   std::printf("\np99 user-write latency ratio at 8 channels "
               "(foreground / incremental): %.2fx\n",
@@ -209,19 +172,24 @@ int Main(int argc, char** argv) {
               throughput_delta_at_8 * 100.0);
   bool latency_ok = p99_ratio_at_8 >= 3.0;
   bool throughput_ok = throughput_delta_at_8 >= -0.10;
-  PrintCheck(latency_ok,
-             "incremental background GC cuts p99 user-write latency >= 3x "
-             "at 8 channels under a bursty workload");
-  PrintCheck(throughput_ok,
-             "steady-state throughput stays within 10% of the "
-             "foreground-only baseline");
-  if (json_path != nullptr) {
-    WriteJson(json_path, rows, p99_ratio_at_8, throughput_delta_at_8);
-  }
-  return latency_ok && throughput_ok ? 0 : 1;
+  h.Check(latency_ok,
+          "incremental background GC cuts p99 user-write latency >= 3x "
+          "at 8 channels under a bursty workload");
+  h.Check(throughput_ok,
+          "steady-state throughput stays within 10% of the "
+          "foreground-only baseline");
+
+  JsonDoc doc("gc_latency");
+  doc.AddArray("results", JsonRows(kColumns, rows));
+  doc.AddArray("gates",
+               {{{"name", Quote("p99_ratio_at_8ch")},
+                 {"value", Printf("%.3f", p99_ratio_at_8)},
+                 {"threshold", "3.0"},
+                 {"pass", latency_ok ? "true" : "false"}},
+                {{"name", Quote("throughput_delta_at_8ch")},
+                 {"value", Printf("%.4f", throughput_delta_at_8)},
+                 {"threshold", "-0.10"},
+                 {"pass", throughput_ok ? "true" : "false"}}});
+  h.WriteJson(doc);
+  return h.ExitCode();
 }
-
-}  // namespace bench
-}  // namespace gecko
-
-int main(int argc, char** argv) { return gecko::bench::Main(argc, argv); }

@@ -10,19 +10,16 @@
 // queueing delay under saturation rather than the flat self-throttled
 // tails a closed loop would report.
 //
-// Flags: --tiny   CI smoke scale (exit 0 regardless of the speedup gate;
+// Flags: --tiny   CI smoke scale (the speedup gate is advisory;
 //                 invariants are still CHECKed)
 //        --json P write machine-readable results to path P
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "ftl/baseline_ftls.h"
-#include "ftl/gecko_ftl.h"
 #include "sim/ftl_experiment.h"
 #include "sim/open_loop_driver.h"
 #include "util/table_printer.h"
@@ -49,27 +46,12 @@ Geometry BenchGeometry() {
   return g;
 }
 
-template <typename FtlT>
-std::unique_ptr<Ftl> MakeWithQd(FlashDevice* device, uint32_t cache,
-                                uint32_t qd) {
-  FtlConfig config = FtlT::DefaultConfig(cache);
-  config.async_queue_depth = qd;
-  return std::make_unique<FtlT>(device, config);
-}
-
-std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device,
-                          uint32_t cache, uint32_t qd) {
-  if (name == "GeckoFTL") return MakeWithQd<GeckoFtl>(device, cache, qd);
-  if (name == "DFTL") return MakeWithQd<DftlFtl>(device, cache, qd);
-  if (name == "LazyFTL") return MakeWithQd<LazyFtl>(device, cache, qd);
-  if (name == "uFTL") return MakeWithQd<MuFtl>(device, cache, qd);
-  return MakeWithQd<IbFtl>(device, cache, qd);
-}
-
-OpenLoopReport RunOne(const std::string& name, uint32_t qd, uint64_t requests,
-                      double read_fraction) {
+LoadReport RunOne(const std::string& name, uint32_t qd, uint64_t requests,
+                  double read_fraction) {
   FlashDevice device(BenchGeometry());
-  auto ftl = Make(name, &device, kCache, qd);
+  FtlConfig config = DefaultFtlConfig(name, kCache);
+  config.async_queue_depth = qd;
+  auto ftl = MakeFtl(name, &device, config);
   FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/64);
   GECKO_CHECK(ftl->Flush().ok());
   device.stats().Reset();  // measure only the open-loop phase
@@ -85,7 +67,7 @@ OpenLoopReport RunOne(const std::string& name, uint32_t qd, uint64_t requests,
   oopt.inter_arrival_us = kInterArrivalUs;
   oopt.requests = requests;
   OpenLoopDriver driver(ftl.get(), &device, oopt);
-  OpenLoopReport r = driver.Run(stream);
+  LoadReport r = driver.Run(stream);
   GECKO_CHECK_EQ(r.completed, r.arrivals);
   GECKO_CHECK_EQ(ftl->InFlightRequests(), 0u);
   return r;
@@ -95,62 +77,36 @@ struct SweepRow {
   std::string ftl;
   uint32_t qd = 0;
   double read_fraction = 0;
-  OpenLoopReport report;
+  LoadReport report;
   double speedup = 1.0;  // achieved_kiops vs the same FTL's QD=1 run
 };
 
-void WriteJson(const char* path, uint64_t requests,
-               const std::vector<SweepRow>& rows,
-               const std::vector<std::pair<std::string, double>>& gates) {
-  std::FILE* f = std::fopen(path, "w");
-  GECKO_CHECK(f != nullptr) << "cannot open " << path;
-  std::fprintf(f, "{\n  \"bench\": \"qd_sweep\",\n");
-  std::fprintf(f, "  \"channels\": %u,\n  \"requests\": %llu,\n", kChannels,
-               static_cast<unsigned long long>(requests));
-  std::fprintf(f, "  \"inter_arrival_us\": %.1f,\n", kInterArrivalUs);
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"ftl\": \"%s\", \"qd\": %u, \"read_fraction\": %.2f, "
-        "\"achieved_kiops\": %.3f, \"speedup_vs_qd1\": %.3f, "
-        "\"p50_us\": %.1f, \"p99_us\": %.1f, \"p999_us\": %.1f, "
-        "\"inflight_watermark\": %u, \"deferrals\": %llu}%s\n",
-        r.ftl.c_str(), r.qd, r.read_fraction, r.report.achieved_kiops,
-        r.speedup, r.report.p50_us, r.report.p99_us, r.report.p999_us,
-        r.report.inflight_watermark,
-        static_cast<unsigned long long>(r.report.deferrals),
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"gates\": [\n");
-  for (size_t i = 0; i < gates.size(); ++i) {
-    std::fprintf(f, "    {\"ftl\": \"%s\", \"speedup_qd16\": %.3f, "
-                    "\"pass\": %s}%s\n",
-                 gates[i].first.c_str(), gates[i].second,
-                 gates[i].second >= 3.0 ? "true" : "false",
-                 i + 1 < gates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
+const std::vector<Column<SweepRow>> kColumns = {
+    {"FTL", "ftl", "%s", "\"%s\"", [](auto& r) { return r.ftl; }},
+    {"qd", "qd", "%llu", "%llu", [](auto& r) { return r.qd; }},
+    {nullptr, "read_fraction", nullptr, "%.2f",
+     [](auto& r) { return r.read_fraction; }},
+    {"kiops", "achieved_kiops", "%.2f", "%.3f",
+     [](auto& r) { return r.report.achieved_kiops; }},
+    {"speedup", "speedup_vs_qd1", "%.2f", "%.3f",
+     [](auto& r) { return r.speedup; }},
+    {"p50 us", "p50_us", "%.0f", "%.1f",
+     [](auto& r) { return r.report.p50_us; }},
+    {"p99 us", "p99_us", "%.0f", "%.1f",
+     [](auto& r) { return r.report.p99_us; }},
+    {"p999 us", "p999_us", "%.0f", "%.1f",
+     [](auto& r) { return r.report.p999_us; }},
+    {"infl wm", "inflight_watermark", "%llu", "%llu",
+     [](auto& r) { return r.report.inflight_watermark; }},
+    {"defer", "deferrals", "%llu", "%llu",
+     [](auto& r) { return r.report.deferrals; }},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool tiny = false;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tiny") == 0) {
-      tiny = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--tiny] [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
-  const uint64_t kRequests = tiny ? 256 : 4096;
+  Harness h(argc, argv, Harness::kTiny | Harness::kJson);
+  const uint64_t kRequests = h.tiny() ? 256 : 4096;
 
   PrintHeader(
       "Queue-depth sweep: open-loop throughput and tail latency vs QD",
@@ -159,7 +115,6 @@ int main(int argc, char** argv) {
       ">= 3x at QD=16 vs QD=1 on 8 channels for every FTL");
 
   const uint32_t kQds[] = {1, 2, 4, 8, 16, 32};
-  const char* kFtls[] = {"GeckoFTL", "DFTL", "LazyFTL", "uFTL", "IB-FTL"};
 
   std::printf(
       "\nSingle-extent writes over %u lpns, cache C=%u, %u channels, "
@@ -167,13 +122,10 @@ int main(int argc, char** argv) {
       unsigned{kSpan}, kCache, kChannels,
       static_cast<unsigned long long>(kRequests), kInterArrivalUs);
 
-  std::vector<SweepRow> rows;
-  std::vector<std::pair<std::string, double>> gates;
-  TablePrinter table({"FTL", "qd", "kiops", "speedup", "p50 us", "p99 us",
-                      "p999 us", "infl wm", "defer"});
-  for (const char* name : kFtls) {
+  std::vector<SweepRow> sweep;
+  std::vector<std::pair<std::string, double>> speedups16;
+  for (const char* name : kFtlNames) {
     double base_kiops = 0;
-    double speedup16 = 0;
     for (uint32_t qd : kQds) {
       SweepRow row;
       row.ftl = name;
@@ -181,53 +133,47 @@ int main(int argc, char** argv) {
       row.report = RunOne(name, qd, kRequests, /*read_fraction=*/0.0);
       if (qd == 1) base_kiops = row.report.achieved_kiops;
       row.speedup = base_kiops > 0 ? row.report.achieved_kiops / base_kiops : 0;
-      if (qd == 16) speedup16 = row.speedup;
-      table.AddRow(
-          {name, TablePrinter::Fmt(static_cast<int>(qd)),
-           TablePrinter::Fmt(row.report.achieved_kiops, 2),
-           TablePrinter::Fmt(row.speedup, 2),
-           TablePrinter::Fmt(row.report.p50_us, 0),
-           TablePrinter::Fmt(row.report.p99_us, 0),
-           TablePrinter::Fmt(row.report.p999_us, 0),
-           TablePrinter::Fmt(static_cast<int>(row.report.inflight_watermark)),
-           TablePrinter::Fmt(row.report.deferrals)});
-      rows.push_back(std::move(row));
+      if (qd == 16) speedups16.emplace_back(name, row.speedup);
+      sweep.push_back(std::move(row));
     }
-    gates.emplace_back(name, speedup16);
   }
-  table.Print();
+  PrintTable(kColumns, sweep);
 
   // Secondary view: a 30% read mix at QD=16. Reads take shared claims on
   // their translation pages, so this exercises the dependency tracker's
   // reader/writer path under load; read service time (100us) vs program
   // time (1000us) also splits the latency distribution visibly.
   std::printf("\n30%% read mix at QD=16 (shared-claim path under load):\n");
-  TablePrinter mixed({"FTL", "kiops", "p50 us", "p99 us", "p999 us",
-                      "infl wm"});
-  for (const char* name : kFtls) {
+  std::vector<SweepRow> mixed;
+  for (const char* name : kFtlNames) {
     SweepRow row;
     row.ftl = name;
     row.qd = 16;
     row.read_fraction = 0.3;
     row.report = RunOne(name, 16, kRequests, row.read_fraction);
-    mixed.AddRow({name, TablePrinter::Fmt(row.report.achieved_kiops, 2),
-                  TablePrinter::Fmt(row.report.p50_us, 0),
-                  TablePrinter::Fmt(row.report.p99_us, 0),
-                  TablePrinter::Fmt(row.report.p999_us, 0),
-                  TablePrinter::Fmt(
-                      static_cast<int>(row.report.inflight_watermark))});
-    rows.push_back(std::move(row));
+    mixed.push_back(std::move(row));
   }
-  mixed.Print();
+  PrintTable(kColumns, mixed,
+             {"FTL", "kiops", "p50 us", "p99 us", "p999 us", "infl wm"});
 
-  bool all_pass = true;
-  for (const auto& [name, speedup16] : gates) {
+  std::vector<JsonObject> gates;
+  for (const auto& [name, speedup16] : speedups16) {
     bool ok = speedup16 >= 3.0;
-    all_pass = all_pass && ok;
-    PrintCheck(ok, name + ": " + TablePrinter::Fmt(speedup16, 2) +
-                       "x open-loop throughput at QD=16 vs QD=1");
+    h.Check(ok, name + ": " + TablePrinter::Fmt(speedup16, 2) +
+                    "x open-loop throughput at QD=16 vs QD=1");
+    gates.push_back({{"ftl", Quote(name)},
+                     {"speedup_qd16", Printf("%.3f", speedup16)},
+                     {"pass", ok ? "true" : "false"}});
   }
-  if (json_path != nullptr) WriteJson(json_path, kRequests, rows, gates);
-  if (tiny) return 0;  // smoke scale: invariants checked, gate advisory
-  return all_pass ? 0 : 1;
+
+  JsonDoc doc("qd_sweep");
+  doc.Add("channels", "%llu", kChannels);
+  doc.Add("requests", "%llu", kRequests);
+  doc.Add("inter_arrival_us", "%.1f", kInterArrivalUs);
+  std::vector<JsonObject> results = JsonRows(kColumns, sweep);
+  for (JsonObject& o : JsonRows(kColumns, mixed)) results.push_back(o);
+  doc.AddArray("results", std::move(results));
+  doc.AddArray("gates", std::move(gates));
+  h.WriteJson(doc);
+  return h.ExitCode();
 }

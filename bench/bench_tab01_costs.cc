@@ -14,7 +14,8 @@
 using namespace gecko;
 using namespace gecko::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  Harness h(argc, argv);
   PrintHeader("Table 1: page-validity scheme costs (analytic + measured)",
               "Logarithmic Gecko trades slightly costlier GC queries for "
               "sub-constant updates; RAM PVB needs O(B*K) RAM");
@@ -75,11 +76,11 @@ int main() {
               sim.pages_per_block, sim.page_bytes);
   measured.Print();
 
-  PrintCheck(gecko_wpu < 0.25 * fpvb_wpu,
-             "Gecko updates are far cheaper than flash PVB's 1 write/update");
-  PrintCheck(gecko_rpq > fpvb_rpq,
-             "Gecko GC queries cost more reads than the flash PVB's");
-  PrintCheck(gecko.ram_bytes < 0.05 * rpvb.ram_bytes,
-             "flash-resident schemes use <5% of the RAM PVB's memory");
-  return 0;
+  h.Check(gecko_wpu < 0.25 * fpvb_wpu,
+          "Gecko updates are far cheaper than flash PVB's 1 write/update");
+  h.Check(gecko_rpq > fpvb_rpq,
+          "Gecko GC queries cost more reads than the flash PVB's");
+  h.Check(gecko.ram_bytes < 0.05 * rpvb.ram_bytes,
+          "flash-resident schemes use <5% of the RAM PVB's memory");
+  return h.ExitCode();
 }

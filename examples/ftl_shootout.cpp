@@ -86,16 +86,13 @@ int main() {
       auto ftl = Make(name, &device);
       FtlExperiment::Fill(*ftl, geometry.NumLogicalPages(), 32);
       UniformWorkload workload(geometry.NumLogicalPages(), 5);
-      WaBreakdown b;
+      RequestStream::Options options = FtlExperiment::LoneWrites();
       if (batch) {
-        RequestStream::Options options;
         options.batch_size = 32;
         options.trim_fraction = 0.05;
-        b = FtlExperiment::MeasureWaBatched(*ftl, device, workload, 15000,
-                                            15000, options);
-      } else {
-        b = FtlExperiment::MeasureWa(*ftl, device, workload, 15000, 15000);
       }
+      WaBreakdown b = FtlExperiment::MeasureWa(*ftl, device, workload, 15000,
+                                               15000, options);
       batched.AddRow({name, batch ? "batch=32 +5% trim" : "single-page",
                       TablePrinter::Fmt(b.user_and_gc, 3),
                       TablePrinter::Fmt(b.translation, 3),

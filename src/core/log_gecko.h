@@ -41,7 +41,6 @@ struct LogGeckoStats {
   uint64_t query_reads = 0;      // flash reads from GC queries
 
   uint64_t UpdatePathWrites() const { return flush_writes + merge_writes; }
-  uint64_t UpdatePathReads() const { return merge_reads; }
 
   LogGeckoStats operator-(const LogGeckoStats& o) const;
 };

@@ -6,16 +6,6 @@
 
 namespace gecko {
 
-const char* FlashOpKindName(FlashOpKind k) {
-  switch (k) {
-    case FlashOpKind::kPageWrite: return "page-write";
-    case FlashOpKind::kPageRead: return "page-read";
-    case FlashOpKind::kSpareRead: return "spare-read";
-    case FlashOpKind::kErase: return "erase";
-  }
-  return "?";
-}
-
 ChannelQueue::ChannelQueue(ChannelId id, LatencyModel latency)
     : id_(id), latency_(latency) {}
 
@@ -50,25 +40,20 @@ FlashSubmission ChannelQueue::Stamp(uint64_t id, FlashOpKind kind,
 
 const FlashSubmission& ChannelQueue::Submit(uint64_t id, FlashOpKind kind,
                                             PhysicalAddress addr,
-                                            IoPurpose purpose, double now_us,
-                                            FlashCompletion on_complete) {
-  Pending p;
-  p.submission = Stamp(id, kind, addr, purpose, now_us);
-  p.on_complete = std::move(on_complete);
-  pending_.push_back(std::move(p));
-  return pending_.back().submission;
+                                            IoPurpose purpose, double now_us) {
+  pending_.push_back(Stamp(id, kind, addr, purpose, now_us));
+  return pending_.back();
 }
 
-void ChannelQueue::TakePending(std::vector<Pending>* out) {
-  for (Pending& p : pending_) out->push_back(std::move(p));
+void ChannelQueue::TakePending(std::vector<FlashSubmission>* out) {
+  out->insert(out->end(), pending_.begin(), pending_.end());
   pending_.clear();
 }
 
 void ChannelQueue::TakeCompletedUntil(double until_us,
-                                      std::vector<Pending>* out) {
-  while (!pending_.empty() &&
-         pending_.front().submission.complete_us <= until_us) {
-    out->push_back(std::move(pending_.front()));
+                                      std::vector<FlashSubmission>* out) {
+  while (!pending_.empty() && pending_.front().complete_us <= until_us) {
+    out->push_back(pending_.front());
     pending_.pop_front();
   }
 }
@@ -83,11 +68,10 @@ ChannelArray::ChannelArray(uint32_t num_channels, LatencyModel latency) {
 
 const FlashSubmission& ChannelArray::Submit(ChannelId c, FlashOpKind kind,
                                             PhysicalAddress addr,
-                                            IoPurpose purpose,
-                                            FlashCompletion on_complete) {
+                                            IoPurpose purpose) {
   GECKO_CHECK_LT(c, channels_.size());
-  const FlashSubmission& sub = channels_[c].Submit(
-      next_id_++, kind, addr, purpose, now_us_, std::move(on_complete));
+  const FlashSubmission& sub =
+      channels_[c].Submit(next_id_++, kind, addr, purpose, now_us_);
   uint32_t depth = static_cast<uint32_t>(channels_[c].depth());
   if (depth > max_depth_since_drain_) max_depth_since_drain_ = depth;
   return sub;
@@ -107,20 +91,20 @@ namespace {
 // Retirement order: global completion time; ties (e.g. equal-latency ops
 // started together on different channels) break by submission id so the
 // order is deterministic.
-void SortByCompletion(std::vector<ChannelQueue::Pending>* pending) {
-  std::sort(pending->begin(), pending->end(),
-            [](const ChannelQueue::Pending& a, const ChannelQueue::Pending& b) {
-              if (a.submission.complete_us != b.submission.complete_us) {
-                return a.submission.complete_us < b.submission.complete_us;
+void SortByCompletion(std::vector<FlashSubmission>* subs) {
+  std::sort(subs->begin(), subs->end(),
+            [](const FlashSubmission& a, const FlashSubmission& b) {
+              if (a.complete_us != b.complete_us) {
+                return a.complete_us < b.complete_us;
               }
-              return a.submission.id < b.submission.id;
+              return a.id < b.id;
             });
 }
 }  // namespace
 
 ChannelArray::DrainResult ChannelArray::Drain(
     std::vector<FlashSubmission>* completed) {
-  std::vector<ChannelQueue::Pending> pending;
+  std::vector<FlashSubmission> pending;
   for (ChannelQueue& ch : channels_) ch.TakePending(&pending);
 
   DrainResult result;
@@ -131,10 +115,9 @@ ChannelArray::DrainResult ChannelArray::Drain(
   SortByCompletion(&pending);
 
   double finish = now_us_;
-  for (ChannelQueue::Pending& p : pending) {
-    finish = std::max(finish, p.submission.complete_us);
-    if (p.on_complete) p.on_complete(p.submission);
-    if (completed != nullptr) completed->push_back(p.submission);
+  for (const FlashSubmission& sub : pending) {
+    finish = std::max(finish, sub.complete_us);
+    if (completed != nullptr) completed->push_back(sub);
     ++result.ops;
   }
   result.elapsed_us = finish - now_us_;
@@ -144,18 +127,17 @@ ChannelArray::DrainResult ChannelArray::Drain(
 
 ChannelArray::DrainResult ChannelArray::DrainUntil(
     double until_us, std::vector<FlashSubmission>* completed) {
-  std::vector<ChannelQueue::Pending> due;
+  std::vector<FlashSubmission> due;
   for (ChannelQueue& ch : channels_) ch.TakeCompletedUntil(until_us, &due);
   SortByCompletion(&due);
 
   DrainResult result;
   result.max_queue_depth = max_depth_since_drain_;  // still accumulating
-  double finish = std::max(now_us_, until_us);
-  for (ChannelQueue::Pending& p : due) {
-    if (p.on_complete) p.on_complete(p.submission);
-    if (completed != nullptr) completed->push_back(p.submission);
-    ++result.ops;
+  result.ops = due.size();
+  if (completed != nullptr) {
+    completed->insert(completed->end(), due.begin(), due.end());
   }
+  double finish = std::max(now_us_, until_us);
   result.elapsed_us = finish - now_us_;
   now_us_ = finish;
   return result;

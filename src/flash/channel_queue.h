@@ -18,19 +18,19 @@
 // Lifecycle of one operation:
 //   1. Submit(): a FlashSubmission record is stamped with submit/start/
 //      complete times (start = max(device clock, channel busy-until)) and
-//      parked on its channel's queue, with an optional completion callback.
+//      parked on its channel's queue.
 //   2. Drain(): all parked submissions retire in global completion-time
-//      order, callbacks fire, and the device clock advances to the batch
-//      makespan end. FlashDevice drains after every op outside a batch
-//      window (serial semantics, identical to the pre-channel model) and
-//      once per window inside BeginBatch()/EndBatch().
+//      order, handed back as completed records, and the device clock
+//      advances to the batch makespan end. FlashDevice drains after every
+//      op outside a batch window (serial semantics, identical to the
+//      pre-channel model) and once per window inside
+//      BeginBatch()/EndBatch().
 
 #ifndef GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 #define GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "flash/geometry.h"
@@ -47,8 +47,6 @@ enum class FlashOpKind : uint8_t {
   kSpareRead,
   kErase,
 };
-
-const char* FlashOpKindName(FlashOpKind k);
 
 /// Submission record of one in-flight flash operation: identity, target,
 /// and its simulated timeline. `start_us - submit_us` is queueing delay
@@ -70,9 +68,6 @@ struct FlashSubmission {
   double LatencyUs() const { return complete_us - submit_us; }
 };
 
-/// Completion callback, fired at drain time in completion-time order.
-using FlashCompletion = std::function<void(const FlashSubmission&)>;
-
 /// One flash channel: a FIFO op queue in front of a busy-until latency
 /// clock. Not shared across devices.
 class ChannelQueue {
@@ -89,7 +84,7 @@ class ChannelQueue {
   /// submission record (stable until the next TakePending).
   const FlashSubmission& Submit(uint64_t id, FlashOpKind kind,
                                 PhysicalAddress addr, IoPurpose purpose,
-                                double now_us, FlashCompletion on_complete);
+                                double now_us);
 
   /// Operations parked and not yet drained.
   size_t depth() const { return pending_.size(); }
@@ -107,26 +102,22 @@ class ChannelQueue {
   /// Service latency of `kind` under this channel's latency model.
   double LatencyFor(FlashOpKind kind) const;
 
-  struct Pending {
-    FlashSubmission submission;
-    FlashCompletion on_complete;  // may be empty
-  };
-
   /// Moves every parked submission into `*out` (queue order) and empties
-  /// the queue. The caller (ChannelArray) merges channels and fires
-  /// callbacks in global completion order.
-  void TakePending(std::vector<Pending>* out);
+  /// the queue. The caller (ChannelArray) merges channels into global
+  /// completion order.
+  void TakePending(std::vector<FlashSubmission>* out);
 
   /// Moves the parked submissions that complete at or before `until_us`
   /// into `*out`, leaving later ones queued. Valid because the queue is
   /// FIFO behind one busy-until clock: complete times are nondecreasing
   /// in queue order, so the due prefix is exactly the front of the deque.
-  void TakeCompletedUntil(double until_us, std::vector<Pending>* out);
+  void TakeCompletedUntil(double until_us,
+                          std::vector<FlashSubmission>* out);
 
  private:
   ChannelId id_;
   LatencyModel latency_;
-  std::deque<Pending> pending_;
+  std::deque<FlashSubmission> pending_;
   double busy_until_us_ = 0;
   double idle_us_ = 0;
 };
@@ -147,8 +138,7 @@ class ChannelArray {
   /// Submits one op on channel `c` at the current clock. Returns the
   /// stamped record (valid until the next Drain()).
   const FlashSubmission& Submit(ChannelId c, FlashOpKind kind,
-                                PhysicalAddress addr, IoPurpose purpose,
-                                FlashCompletion on_complete);
+                                PhysicalAddress addr, IoPurpose purpose);
 
   /// Serial fast lane: stamps one op on channel `c` and completes it
   /// immediately, advancing the clock to its completion — equivalent to
@@ -179,10 +169,10 @@ class ChannelArray {
     uint32_t max_queue_depth = 0;  // deepest any channel got this batch
   };
 
-  /// Retires every parked submission in global completion-time order,
-  /// firing callbacks, and advances the clock to the completion of the
-  /// last one. `completed`, if non-null, receives the retired records in
-  /// the same order. Draining an empty pipeline is a no-op.
+  /// Retires every parked submission in global completion-time order
+  /// and advances the clock to the completion of the last one.
+  /// `completed`, if non-null, receives the retired records in the same
+  /// order. Draining an empty pipeline is a no-op.
   DrainResult Drain(std::vector<FlashSubmission>* completed = nullptr);
 
   /// Partial drain for reactor-style hosts: retires only the submissions

@@ -1,7 +1,5 @@
 #include "flash/flash_device.h"
 
-#include <utility>
-
 namespace gecko {
 
 FlashDevice::FlashDevice(const Geometry& geometry, LatencyModel latency,
@@ -38,31 +36,24 @@ FlashDevice::BatchResult FlashDevice::EndBatch() {
 
 FlashDevice::BatchResult FlashDevice::DrainChannels() {
   std::vector<FlashSubmission> completed;
-  ChannelArray::DrainResult drained = channels_.Drain(&completed);
-  for (const FlashSubmission& sub : completed) {
-    stats_.OnChannelComplete(sub.channel, sub.ServiceUs());
-  }
-  stats_.AdvanceElapsed(drained.elapsed_us);
-  BatchResult result;
-  result.elapsed_us = drained.elapsed_us;
-  result.ops = drained.ops;
-  result.max_queue_depth = drained.max_queue_depth;
-  return result;
+  BatchResult drained = channels_.Drain(&completed);
+  RecordDrain(drained, completed);
+  return drained;
 }
 
 FlashDevice::BatchResult FlashDevice::AdvanceTo(double until_us) {
   std::vector<FlashSubmission> completed;
-  ChannelArray::DrainResult drained = channels_.DrainUntil(until_us,
-                                                           &completed);
+  BatchResult drained = channels_.DrainUntil(until_us, &completed);
+  RecordDrain(drained, completed);
+  return drained;
+}
+
+void FlashDevice::RecordDrain(const BatchResult& drained,
+                              const std::vector<FlashSubmission>& completed) {
   for (const FlashSubmission& sub : completed) {
     stats_.OnChannelComplete(sub.channel, sub.ServiceUs());
   }
   stats_.AdvanceElapsed(drained.elapsed_us);
-  BatchResult result;
-  result.elapsed_us = drained.elapsed_us;
-  result.ops = drained.ops;
-  result.max_queue_depth = drained.max_queue_depth;
-  return result;
 }
 
 void FlashDevice::BeginOpScope() {
@@ -86,7 +77,7 @@ void FlashDevice::NoteScopedOp(const FlashSubmission& sub) {
 }
 
 void FlashDevice::SubmitOp(FlashOpKind kind, PhysicalAddress addr,
-                           IoPurpose purpose, FlashCompletion on_complete) {
+                           IoPurpose purpose) {
   ChannelId channel = ChannelOf(addr.block);
   stats_.OnChannelSubmit(channel);
   if (batch_depth_ == 0) {
@@ -98,23 +89,14 @@ void FlashDevice::SubmitOp(FlashOpKind kind, PhysicalAddress addr,
     stats_.OnChannelComplete(channel, sub.ServiceUs());
     stats_.AdvanceElapsed(channels_.now_us() - before);
     NoteScopedOp(sub);
-    if (on_complete) on_complete(sub);
     return;
   }
-  NoteScopedOp(
-      channels_.Submit(channel, kind, addr, purpose, std::move(on_complete)));
+  NoteScopedOp(channels_.Submit(channel, kind, addr, purpose));
 }
 
 uint64_t FlashDevice::WritePage(PhysicalAddress addr, SpareArea spare,
                                 uint64_t payload, IoPurpose purpose) {
-  return WritePageAsync(addr, spare, payload, purpose, nullptr);
-}
-
-uint64_t FlashDevice::WritePageAsync(PhysicalAddress addr, SpareArea spare,
-                                     uint64_t payload, IoPurpose purpose,
-                                     FlashCompletion on_complete) {
-  ProgramResult r =
-      ProgramPageInternal(addr, spare, payload, purpose, std::move(on_complete));
+  ProgramResult r = ProgramPage(addr, spare, payload, purpose);
   GECKO_CHECK(r.ok) << "unhandled program fault at " << addr.ToString()
                     << " (use ProgramPage / AllocateAndProgram on fault-"
                     << "injected devices)";
@@ -123,14 +105,6 @@ uint64_t FlashDevice::WritePageAsync(PhysicalAddress addr, SpareArea spare,
 
 ProgramResult FlashDevice::ProgramPage(PhysicalAddress addr, SpareArea spare,
                                        uint64_t payload, IoPurpose purpose) {
-  return ProgramPageInternal(addr, spare, payload, purpose, nullptr);
-}
-
-ProgramResult FlashDevice::ProgramPageInternal(PhysicalAddress addr,
-                                               SpareArea spare,
-                                               uint64_t payload,
-                                               IoPurpose purpose,
-                                               FlashCompletion on_complete) {
   CheckAddress(addr);
   BlockRecord& block = blocks_[addr.block];
   GECKO_CHECK(!block.retired)
@@ -165,7 +139,7 @@ ProgramResult FlashDevice::ProgramPageInternal(PhysicalAddress addr,
     page.payload = payload;
   }
   stats_.OnPageWrite(purpose);
-  SubmitOp(FlashOpKind::kPageWrite, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kPageWrite, addr, purpose);
   return ProgramResult{!failed, spare.seq};
 }
 
@@ -176,20 +150,14 @@ void FlashDevice::ChargeReadRetries(PhysicalAddress addr, IoPurpose purpose,
   // behind it — but is not a distinct page read in the per-purpose counts
   // (the host issued one read; the medium just made it expensive).
   for (uint32_t i = 0; i < retries; ++i) {
-    SubmitOp(FlashOpKind::kPageRead, addr, purpose, nullptr);
+    SubmitOp(FlashOpKind::kPageRead, addr, purpose);
   }
 }
 
 PageReadResult FlashDevice::ReadPage(PhysicalAddress addr, IoPurpose purpose) {
-  return ReadPageAsync(addr, purpose, nullptr);
-}
-
-PageReadResult FlashDevice::ReadPageAsync(PhysicalAddress addr,
-                                          IoPurpose purpose,
-                                          FlashCompletion on_complete) {
   CheckAddress(addr);
   stats_.OnPageRead(purpose);
-  SubmitOp(FlashOpKind::kPageRead, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kPageRead, addr, purpose);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   if (block.retired || page.bad) {
@@ -212,15 +180,9 @@ PageReadResult FlashDevice::ReadPageAsync(PhysicalAddress addr,
 }
 
 PageReadResult FlashDevice::ReadSpare(PhysicalAddress addr, IoPurpose purpose) {
-  return ReadSpareAsync(addr, purpose, nullptr);
-}
-
-PageReadResult FlashDevice::ReadSpareAsync(PhysicalAddress addr,
-                                           IoPurpose purpose,
-                                           FlashCompletion on_complete) {
   CheckAddress(addr);
   stats_.OnSpareRead(purpose);
-  SubmitOp(FlashOpKind::kSpareRead, addr, purpose, std::move(on_complete));
+  SubmitOp(FlashOpKind::kSpareRead, addr, purpose);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   // Spare reads never fault by rate (firmware keeps OOB metadata under
@@ -231,22 +193,12 @@ PageReadResult FlashDevice::ReadSpareAsync(PhysicalAddress addr,
 }
 
 void FlashDevice::EraseBlock(BlockId block_id, IoPurpose purpose) {
-  EraseBlockAsync(block_id, purpose, nullptr);
-}
-
-void FlashDevice::EraseBlockAsync(BlockId block_id, IoPurpose purpose,
-                                  FlashCompletion on_complete) {
-  GECKO_CHECK(EraseBlockInternal(block_id, purpose, std::move(on_complete)))
+  GECKO_CHECK(TryEraseBlock(block_id, purpose))
       << "unhandled erase fault at block " << block_id
       << " (use TryEraseBlock on fault-injected devices)";
 }
 
 bool FlashDevice::TryEraseBlock(BlockId block_id, IoPurpose purpose) {
-  return EraseBlockInternal(block_id, purpose, nullptr);
-}
-
-bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
-                                     FlashCompletion on_complete) {
   GECKO_CHECK_LT(block_id, geometry_.num_blocks);
   BlockRecord& block = blocks_[block_id];
   GECKO_CHECK(!block.retired) << "erase of retired block " << block_id;
@@ -254,8 +206,7 @@ bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
     // The failed attempt still occupied the channel for an erase latency;
     // the block is permanently retired (grown bad).
     stats_.OnEraseFault();
-    SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose,
-             std::move(on_complete));
+    SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose);
     RetireBlock(block_id);
     return false;
   }
@@ -269,8 +220,7 @@ bool FlashDevice::EraseBlockInternal(BlockId block_id, IoPurpose purpose,
   block.last_erase_seq = next_seq_++;
   ++global_erase_count_;
   stats_.OnErase(purpose);
-  SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose,
-           std::move(on_complete));
+  SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose);
   return true;
 }
 

@@ -115,24 +115,20 @@ class FlashDevice {
   /// outermost EndBatch() drains.
   void BeginBatch();
 
-  /// What one drained batch window cost.
-  struct BatchResult {
-    double elapsed_us = 0;         // makespan: max-per-channel, not sum
-    uint64_t ops = 0;              // flash ops the window submitted
-    uint32_t max_queue_depth = 0;  // deepest any channel queue got
-  };
+  /// What one drained batch window cost: its makespan (max-per-channel,
+  /// not sum), the flash ops it retired, and the deepest channel queue.
+  using BatchResult = ChannelArray::DrainResult;
 
   /// Closes the innermost batch window. The outermost close drains every
-  /// queued op — completion callbacks fire in completion-time order — and
-  /// advances the simulated clock by the window's makespan. Inner closes
-  /// return a zeroed BatchResult.
+  /// queued op in completion-time order and advances the simulated clock
+  /// by the window's makespan. Inner closes return a zeroed BatchResult.
   BatchResult EndBatch();
 
   /// Whether a batch window is open.
   bool in_batch() const { return batch_depth_ > 0; }
 
   /// Reactor tick: retires every queued op that completes at or before
-  /// `until_us` (completion-time order, callbacks fire, stats update) and
+  /// `until_us` (completion-time order, stats update) and
   /// advances the clock to max(now, until_us), leaving later ops queued.
   /// Unlike EndBatch(), the batch window — if any — stays open; the async
   /// engine uses this to let time pass while requests are still in
@@ -161,9 +157,7 @@ class FlashDevice {
   // --- Page operations ----------------------------------------------------
   // Each op charges its IoStats count at submission. Timing: outside a
   // batch window the op also completes immediately (clock += latency);
-  // inside a window it completes at EndBatch(). The *Async variants
-  // additionally register a completion callback, fired at drain time with
-  // the op's submission record (queueing + service timeline).
+  // inside a window it completes at EndBatch().
 
   /// Programs the next free page of `addr.block`; `addr.page` must equal the
   /// block's write pointer (sequential-programming rule). The device stamps
@@ -171,11 +165,6 @@ class FlashDevice {
   /// with the block's wear counter, then returns that sequence number.
   uint64_t WritePage(PhysicalAddress addr, SpareArea spare, uint64_t payload,
                      IoPurpose purpose);
-
-  /// WritePage + completion callback.
-  uint64_t WritePageAsync(PhysicalAddress addr, SpareArea spare,
-                          uint64_t payload, IoPurpose purpose,
-                          FlashCompletion on_complete);
 
   /// Fault-aware program. Identical to WritePage on success; on an injected
   /// program fault the page is consumed and marked bad (it reads back as
@@ -192,27 +181,15 @@ class FlashDevice {
   /// synchronous; the channel queue models when the read *completes*).
   PageReadResult ReadPage(PhysicalAddress addr, IoPurpose purpose);
 
-  /// ReadPage + completion callback.
-  PageReadResult ReadPageAsync(PhysicalAddress addr, IoPurpose purpose,
-                               FlashCompletion on_complete);
-
   /// Reads only the spare area (~32x cheaper than a page read). Reading the
   /// spare of an unprogrammed page returns written=false with a blank spare,
   /// which is how recovery scans detect free pages/blocks.
   PageReadResult ReadSpare(PhysicalAddress addr, IoPurpose purpose);
 
-  /// ReadSpare + completion callback.
-  PageReadResult ReadSpareAsync(PhysicalAddress addr, IoPurpose purpose,
-                                FlashCompletion on_complete);
-
   /// Erases a block: all pages become free, the wear counter increments.
   /// Aborts on an injected erase fault; fault-tolerant callers use
   /// TryEraseBlock.
   void EraseBlock(BlockId block, IoPurpose purpose);
-
-  /// EraseBlock + completion callback.
-  void EraseBlockAsync(BlockId block, IoPurpose purpose,
-                       FlashCompletion on_complete);
 
   /// Fault-aware erase. Returns true on success (identical to EraseBlock).
   /// On an injected erase fault the block is permanently retired — a grown
@@ -284,24 +261,18 @@ class FlashDevice {
 
   void CheckAddress(PhysicalAddress addr) const;
 
-  /// Shared program path: data effects + fault roll + op submission.
-  ProgramResult ProgramPageInternal(PhysicalAddress addr, SpareArea spare,
-                                    uint64_t payload, IoPurpose purpose,
-                                    FlashCompletion on_complete);
-
-  /// Shared erase path; returns false when an injected fault retired the
-  /// block (callback still fires: the attempt occupied the channel).
-  bool EraseBlockInternal(BlockId block, IoPurpose purpose,
-                          FlashCompletion on_complete);
-
   /// Routes one op through its block's channel queue: charges queue-depth
   /// stats, and drains immediately unless a batch window is open.
-  void SubmitOp(FlashOpKind kind, PhysicalAddress addr, IoPurpose purpose,
-                FlashCompletion on_complete);
+  void SubmitOp(FlashOpKind kind, PhysicalAddress addr, IoPurpose purpose);
 
   /// Drains the channel pipeline into IoStats (busy time, completions,
-  /// clock advance) and fires completion callbacks.
+  /// clock advance).
   BatchResult DrainChannels();
+
+  /// The stats tail of every drain: charges each retired op's service
+  /// time to its channel and the drain's clock advance to IoStats.
+  void RecordDrain(const BatchResult& drained,
+                   const std::vector<FlashSubmission>& completed);
 
   /// Feeds one stamped submission into the open op scope, if any.
   void NoteScopedOp(const FlashSubmission& sub);

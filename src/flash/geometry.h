@@ -44,8 +44,6 @@ struct Geometry {
     return static_cast<uint64_t>(TotalPages() * logical_ratio);
   }
 
-  uint64_t LogicalBytes() const { return NumLogicalPages() * page_bytes; }
-
   /// Spare area size; physically adjacent to each page and 32x smaller [1].
   uint32_t SpareBytes() const { return page_bytes / 32; }
 
@@ -75,14 +73,6 @@ struct Geometry {
     GECKO_CHECK_GE(num_channels, 1u);
     GECKO_CHECK_LE(num_channels, num_blocks);
     GECKO_CHECK_GE(dies_per_channel, 1u);
-  }
-
-  /// Returns a copy with the channel count replaced (builder-style, for
-  /// channel-scaling sweeps).
-  Geometry WithChannels(uint32_t channels) const {
-    Geometry g = *this;
-    g.num_channels = channels;
-    return g;
   }
 
   /// The paper's running example (Figure 2): a 2 TB device.

@@ -56,11 +56,6 @@ class StripedFreePool {
   /// Free blocks across all channels.
   uint32_t size() const { return size_; }
 
-  /// Free blocks pooled on channel `c`.
-  uint32_t size_on(ChannelId c) const {
-    return static_cast<uint32_t>(pools_[c].size());
-  }
-
   /// Drops every pooled block (power-failure recovery).
   void Clear() {
     for (auto& pool : pools_) pool.clear();

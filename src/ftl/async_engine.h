@@ -67,12 +67,6 @@ struct DepKey {
   uint64_t id = 0;
   bool exclusive = true;
 
-  static DepKey Lpn(uint64_t lpn, bool exclusive) {
-    return DepKey{Space::kLpn, lpn, exclusive};
-  }
-  static DepKey TPage(uint64_t tpage, bool exclusive) {
-    return DepKey{Space::kTranslationPage, tpage, exclusive};
-  }
   static DepKey Global(bool exclusive) {
     return DepKey{Space::kGlobal, 0, exclusive};
   }

@@ -59,12 +59,6 @@ class BadBlockManager {
   /// The block was retired in the medium; drop its RAM state.
   void OnBlockRetired(BlockId block) { fail_counts_.erase(block); }
 
-  /// Program-fail count of `block` since its last successful erase.
-  uint32_t FailCount(BlockId block) const {
-    auto it = fail_counts_.find(block);
-    return it == fail_counts_.end() ? 0 : it->second;
-  }
-
   /// Retired blocks in the medium: factory-marked + grown.
   uint32_t NumBadBlocks() const { return device_->NumBadBlocks(); }
   /// Blocks retired since the device shipped (grown bad).

@@ -86,10 +86,6 @@ class BlockManager : public PageAllocator {
   /// the maintenance plane never lets the pool hit zero.
   uint32_t FreePoolLowWatermark() const { return free_pool_low_; }
   void ResetFreePoolLowWatermark() { free_pool_low_ = ~0u; }
-  /// Free blocks currently pooled on channel `c`.
-  uint32_t NumFreeBlocksOnChannel(ChannelId c) const {
-    return free_pool_.size_on(c);
-  }
   uint32_t MetadataLivePages(BlockId block) const {
     return meta_live_[block];
   }

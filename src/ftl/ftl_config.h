@@ -68,10 +68,6 @@ struct MaintenanceConfig {
   /// GC steps one background tick runs at most.
   uint32_t steps_per_tick = 4;
 
-  /// Write-credit throttling: credits earned per unit of pool deficit on
-  /// each throttled write; one GC step costs one credit.
-  double credits_per_deficit = 1.0;
-
   /// Background ticks between volatile-metadata flushes (the Gecko buffer
   /// hook). 0 disables idle-driven flushing.
   uint32_t idle_flush_period = 0;

@@ -31,16 +31,6 @@ enum class IoOp : uint8_t {
   kFlush,      // make all volatile FTL state durable (no extents)
 };
 
-inline const char* IoOpName(IoOp op) {
-  switch (op) {
-    case IoOp::kWrite: return "write";
-    case IoOp::kRead: return "read";
-    case IoOp::kTrim: return "trim";
-    case IoOp::kFlush: return "flush";
-  }
-  return "?";
-}
-
 /// One logical page touched by a request. `payload` is the data to write
 /// for kWrite and ignored for kRead/kTrim (read data comes back through
 /// IoResult::payloads, keeping the request reusable across retries).

@@ -6,15 +6,11 @@
 
 namespace gecko {
 
-const char* GcPhaseName(GcPhase p) {
-  switch (p) {
-    case GcPhase::kIdle: return "idle";
-    case GcPhase::kMigrate: return "migrate";
-    case GcPhase::kFlush: return "flush";
-    case GcPhase::kErase: return "erase";
-  }
-  return "?";
-}
+namespace {
+/// Write-credit throttling: credits earned per unit of pool deficit on
+/// each throttled write; one GC step costs one credit.
+constexpr double kCreditsPerDeficit = 1.0;
+}  // namespace
 
 MaintenanceScheduler::MaintenanceScheduler(MaintenanceHost* host,
                                            const FtlConfig& config)
@@ -42,12 +38,12 @@ void MaintenanceScheduler::BeforeUserWrite() {
     // collection at the floor.
     ++stats_.throttle_engagements;
     uint32_t deficit = hard_ - host_->FreeBlocks();
-    credits_ += config_.credits_per_deficit * static_cast<double>(deficit);
+    credits_ += kCreditsPerDeficit * static_cast<double>(deficit);
     // Credits never bank more than one full band's worth: the per-write
     // step budget stays bounded by the band width, so a deep deficit
     // cannot fund a whole-block collection on a single write — that
     // would be the stop-the-world spike this path exists to avoid.
-    credits_ = std::min(credits_, config_.credits_per_deficit *
+    credits_ = std::min(credits_, kCreditsPerDeficit *
                                       static_cast<double>(hard_ - floor_));
     while (credits_ >= 1.0 && host_->FreeBlocks() < hard_) {
       GcStepOutcome o = host_->GcStep(config_.migrations_per_step);

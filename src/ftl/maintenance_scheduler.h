@@ -47,8 +47,6 @@ enum class GcPhase : uint8_t {
   kErase,     // reports flushed; erase record + physical erase pending
 };
 
-const char* GcPhaseName(GcPhase p);
-
 /// What one GC step accomplished.
 struct GcStepOutcome {
   bool advanced = false;    // the state machine made progress

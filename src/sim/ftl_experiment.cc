@@ -5,6 +5,22 @@
 
 namespace gecko {
 
+namespace {
+
+/// Submits one RequestStream request. Trims of never-written pages come
+/// back NotFound; every other extent must land.
+void SubmitStreamRequest(Ftl& ftl, IoRequest& request) {
+  IoResult result;
+  Status s = ftl.Submit(request, &result);
+  GECKO_CHECK(s.ok()) << s.ToString();
+  for (const Status& es : result.extent_status) {
+    GECKO_CHECK(es.ok() || es.code() == StatusCode::kNotFound)
+        << es.ToString();
+  }
+}
+
+}  // namespace
+
 void FtlExperiment::Fill(Ftl& ftl, uint64_t num_lpns, uint32_t batch_size) {
   GECKO_CHECK_GT(batch_size, 0u);
   if (batch_size == 1) {
@@ -42,34 +58,32 @@ ChannelReport FtlExperiment::Channels(const FlashDevice& device) {
   return report;
 }
 
-LatencyReport FtlExperiment::MeasureGcLatency(Ftl& ftl, FlashDevice& device,
-                                              BurstyRequestStream& stream,
-                                              uint64_t warm_extents,
-                                              uint64_t measure_extents,
-                                              bool tick_idle) {
+LatencyReport FtlExperiment::MeasureGcLatency(
+    Ftl& ftl, FlashDevice& device, RequestStream& stream,
+    uint32_t burst_requests, uint32_t idle_slots, uint64_t warm_extents,
+    uint64_t measure_extents, bool tick_idle) {
+  GECKO_CHECK_GT(burst_requests, 0u);
   LatencyHistogram hist;
   uint64_t background_steps = 0;
+  uint32_t in_burst = 0;  // requests of the current burst issued so far
   auto run = [&](uint64_t target_extents, bool record) {
     while (stream.ops_emitted() < target_extents) {
-      BurstyRequestStream::Slot slot = stream.Next();
-      if (slot.idle) {
-        // Host-idle slot: the incremental configuration hands it to the
-        // maintenance scheduler; the foreground-only baseline wastes it.
-        if (tick_idle) background_steps += ftl.IdleTick();
-        continue;
+      if (in_burst == burst_requests) {
+        // Host-idle phase: the incremental configuration hands each slot
+        // to the maintenance scheduler; the foreground-only baseline
+        // wastes them.
+        for (uint32_t i = 0; tick_idle && i < idle_slots; ++i) {
+          background_steps += ftl.IdleTick();
+        }
+        in_burst = 0;
       }
+      ++in_burst;
+      IoRequest request = stream.Next();
       double before_us = device.stats().elapsed_us();
-      IoResult result;
-      Status s = ftl.Submit(slot.request, &result);
-      GECKO_CHECK(s.ok()) << s.ToString();
-      for (const Status& es : result.extent_status) {
-        // Trims of never-written pages are fine; everything else lands.
-        GECKO_CHECK(es.ok() || es.code() == StatusCode::kNotFound)
-            << es.ToString();
-      }
+      SubmitStreamRequest(ftl, request);
       // The request's end-to-end latency is its batch window's makespan —
       // including any foreground GC steps it had to pay for.
-      if (record && slot.request.op == IoOp::kWrite) {
+      if (record && request.op == IoOp::kWrite) {
         hist.Record(device.stats().elapsed_us() - before_us);
       }
     }
@@ -100,43 +114,13 @@ LatencyReport FtlExperiment::MeasureGcLatency(Ftl& ftl, FlashDevice& device,
 
 WaBreakdown FtlExperiment::MeasureWa(Ftl& ftl, FlashDevice& device,
                                      Workload& workload, uint64_t warm_ops,
-                                     uint64_t measure_ops) {
-  for (uint64_t i = 0; i < warm_ops; ++i) {
-    Status s = ftl.Write(workload.NextLpn(), Token(0, i));
-    GECKO_CHECK(s.ok()) << s.ToString();
-  }
-  IoCounters before = device.stats().Snapshot();
-  for (uint64_t i = 0; i < measure_ops; ++i) {
-    Status s = ftl.Write(workload.NextLpn(), Token(1, i));
-    GECKO_CHECK(s.ok()) << s.ToString();
-  }
-  IoCounters delta = device.stats().Snapshot() - before;
-  double d = device.stats().latency().Delta();
-
-  WaBreakdown wa;
-  wa.user_and_gc = delta.WriteAmplificationFor(IoPurpose::kGcMigration, d) +
-                   delta.WriteAmplificationFor(IoPurpose::kUserWrite, d);
-  wa.translation = delta.WriteAmplificationFor(IoPurpose::kTranslation, d);
-  wa.page_validity = delta.WriteAmplificationFor(IoPurpose::kPvm, d);
-  wa.total = delta.WriteAmplification(d);
-  return wa;
-}
-
-WaBreakdown FtlExperiment::MeasureWaBatched(
-    Ftl& ftl, FlashDevice& device, Workload& workload, uint64_t warm_ops,
-    uint64_t measure_ops, const RequestStream::Options& options) {
+                                     uint64_t measure_ops,
+                                     const RequestStream::Options& options) {
   RequestStream stream(&workload, options);
   auto run_until = [&](uint64_t target_ops) {
     while (stream.ops_emitted() < target_ops) {
       IoRequest request = stream.Next();
-      IoResult result;
-      Status s = ftl.Submit(request, &result);
-      GECKO_CHECK(s.ok()) << s.ToString();
-      for (const Status& es : result.extent_status) {
-        // Trims of never-written pages are fine; everything else must land.
-        GECKO_CHECK(es.ok() || es.code() == StatusCode::kNotFound)
-            << es.ToString();
-      }
+      SubmitStreamRequest(ftl, request);
     }
   };
   run_until(warm_ops);

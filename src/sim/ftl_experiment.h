@@ -11,7 +11,6 @@
 
 #include "flash/flash_device.h"
 #include "ftl/ftl.h"
-#include "workload/bursty_stream.h"
 #include "workload/request_stream.h"
 #include "workload/workload.h"
 
@@ -65,47 +64,51 @@ class FtlExperiment {
   /// the fill as scatter-gather requests of that many sequential pages.
   static void Fill(Ftl& ftl, uint64_t num_lpns, uint32_t batch_size = 1);
 
-  /// Runs `warm_ops` updates to reach steady state, then measures the WA
-  /// breakdown over `measure_ops` further updates.
+  /// Runs ~`warm_ops` update extents to reach steady state, then measures
+  /// the WA breakdown over the following ~`measure_ops` extents. The
+  /// updates are RequestStream requests over `workload` (batch size, trim
+  /// mix), so the whole request pipeline — including kTrim — is
+  /// exercised; by default they are lone single-page writes.
   static WaBreakdown MeasureWa(Ftl& ftl, FlashDevice& device,
                                Workload& workload, uint64_t warm_ops,
-                               uint64_t measure_ops);
+                               uint64_t measure_ops,
+                               const RequestStream::Options& options =
+                                   LoneWrites());
 
-  /// Batched measurement loop: updates are submitted through a
-  /// RequestStream (batch size + trim mix), so the whole request pipeline
-  /// — including kTrim — is exercised and measured. Roughly `warm_ops`
-  /// update extents warm the device; the breakdown is measured over the
-  /// following ~`measure_ops` extents.
-  static WaBreakdown MeasureWaBatched(Ftl& ftl, FlashDevice& device,
-                                      Workload& workload, uint64_t warm_ops,
-                                      uint64_t measure_ops,
-                                      const RequestStream::Options& options);
+  /// Stream options for lone single-page writes: batch size 1, no trims
+  /// or reads.
+  static RequestStream::Options LoneWrites() {
+    RequestStream::Options options;
+    options.batch_size = 1;
+    return options;
+  }
 
   /// Snapshot of the device's per-channel accounting (utilization, op
   /// spread, queue depth) for channel-scaling experiments.
   static ChannelReport Channels(const FlashDevice& device);
 
-  /// Tail-latency measurement loop: drives `stream` (bursts + idle
-  /// phases), warming with ~`warm_extents` write/trim extents and then
-  /// measuring ~`measure_extents` more. During idle slots the loop ticks
-  /// the FTL's maintenance scheduler (`Ftl::IdleTick`) when `tick_idle`
-  /// is set — the incremental-GC configuration — or skips them (the
+  /// Tail-latency measurement loop for a bursty host: `burst_requests`
+  /// requests from `stream`, then `idle_slots` host-idle slots, repeated.
+  /// Warms with ~`warm_extents` write/trim extents, then measures ~
+  /// `measure_extents` more; the burst/idle phase carries over from the
+  /// warm-up into the measured window. Each idle slot ticks the FTL's
+  /// maintenance scheduler (`Ftl::IdleTick`) when `tick_idle` is set — the
+  /// incremental-GC configuration — and is wasted otherwise (the
   /// foreground-only baseline). Returns the user-write latency
   /// distribution over the measurement window.
   static LatencyReport MeasureGcLatency(Ftl& ftl, FlashDevice& device,
-                                        BurstyRequestStream& stream,
+                                        RequestStream& stream,
+                                        uint32_t burst_requests,
+                                        uint32_t idle_slots,
                                         uint64_t warm_extents,
                                         uint64_t measure_extents,
                                         bool tick_idle);
 
-  /// Deterministic content token for (lpn, version) — used by tests to
-  /// verify end-to-end data integrity.
+  /// Deterministic content token for (lpn, version) — the payload every
+  /// RequestStream write carries; tests and benches use it to verify
+  /// end-to-end data integrity.
   static uint64_t Token(Lpn lpn, uint64_t version) {
-    uint64_t x = (uint64_t{lpn} << 32) ^ (version * 0x9E3779B97F4A7C15ull);
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDull;
-    x ^= x >> 33;
-    return x;
+    return RequestStream::PayloadToken(lpn, version);
   }
 };
 

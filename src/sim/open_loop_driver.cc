@@ -1,5 +1,6 @@
 #include "sim/open_loop_driver.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -7,58 +8,44 @@
 
 namespace gecko {
 
-void OpenLoopDriver::SubmitOrDefer(IoRequest&& request, double arrival_us,
-                                   OpenLoopReport* report) {
-  // FIFO fairness: an arrival never jumps ahead of earlier deferrals.
-  if (!deferred_.empty()) {
-    deferred_.push_back(Deferred{std::move(request), arrival_us});
-    ++report->deferrals;
-    return;
-  }
-  const uint64_t extents = request.size();
+bool OpenLoopDriver::TrySubmit(Deferred& d, LoadReport* report) {
+  const uint64_t extents = d.request.size();
+  const double arrival_us = d.arrival_us;
   CompletionCb on_complete = [report, arrival_us, extents](
                                  const IoResult& result,
                                  const AsyncCompletion& done) {
     if (result.status.code() == StatusCode::kAborted) return;
     ++report->completed;
-    report->extents += extents;
+    report->extents_completed += extents;
     report->latency.Record(done.complete_us - arrival_us);
   };
-  Status s = ftl_->SubmitAsync(std::move(request), std::move(on_complete));
-  if (s.code() == StatusCode::kQueueFull) {
-    // The request is untouched on kQueueFull; park it for retry.
-    deferred_.push_back(Deferred{std::move(request), arrival_us});
-    ++report->deferrals;
-    return;
-  }
+  // The request is untouched on kQueueFull.
+  Status s = ftl_->SubmitAsync(std::move(d.request), std::move(on_complete));
+  if (s.code() == StatusCode::kQueueFull) return false;
   GECKO_CHECK(s.ok()) << s.ToString();
+  report->inflight_watermark =
+      std::max(report->inflight_watermark, ftl_->InFlightRequests());
+  return true;
 }
 
-void OpenLoopDriver::DrainDeferred(OpenLoopReport* report) {
-  while (!deferred_.empty()) {
-    Deferred d = std::move(deferred_.front());
-    deferred_.pop_front();
-    const uint64_t extents = d.request.size();
-    const double arrival_us = d.arrival_us;
-    CompletionCb on_complete = [report, arrival_us, extents](
-                                   const IoResult& result,
-                                   const AsyncCompletion& done) {
-      if (result.status.code() == StatusCode::kAborted) return;
-      ++report->completed;
-      report->extents += extents;
-      report->latency.Record(done.complete_us - arrival_us);
-    };
-    Status s = ftl_->SubmitAsync(std::move(d.request), std::move(on_complete));
-    if (s.code() == StatusCode::kQueueFull) {
-      deferred_.push_front(std::move(d));  // still full; keep waiting
-      return;
-    }
-    GECKO_CHECK(s.ok()) << s.ToString();
+void OpenLoopDriver::SubmitOrDefer(IoRequest&& request, double arrival_us,
+                                   LoadReport* report) {
+  Deferred d{std::move(request), arrival_us};
+  // FIFO fairness: an arrival never jumps ahead of earlier deferrals.
+  if (!deferred_.empty() || !TrySubmit(d, report)) {
+    deferred_.push_back(std::move(d));
+    ++report->deferrals;
   }
 }
 
-OpenLoopReport OpenLoopDriver::Run(RequestStream& stream) {
-  OpenLoopReport report;
+void OpenLoopDriver::DrainDeferred(LoadReport* report) {
+  while (!deferred_.empty() && TrySubmit(deferred_.front(), report)) {
+    deferred_.pop_front();
+  }
+}
+
+LoadReport OpenLoopDriver::Run(RequestStream& stream) {
+  LoadReport report;
   const double start_us = device_->now_us();
 
   for (uint64_t i = 0; i < options_.requests; ++i) {
@@ -95,24 +82,8 @@ OpenLoopReport OpenLoopDriver::Run(RequestStream& stream) {
   }
 
   report.elapsed_us = device_->now_us() - start_us;
-  const double offered_window_us =
-      static_cast<double>(options_.requests) * options_.inter_arrival_us;
-  report.offered_kiops =
-      offered_window_us > 0
-          ? static_cast<double>(report.extents_offered) / offered_window_us *
-                1000.0
-          : 0;
-  report.achieved_kiops =
-      report.elapsed_us > 0
-          ? static_cast<double>(report.extents) / report.elapsed_us * 1000.0
-          : 0;
-  report.p50_us = report.latency.Percentile(0.50);
-  report.p99_us = report.latency.Percentile(0.99);
-  report.p999_us = report.latency.Percentile(0.999);
-  report.max_us = report.latency.MaxUs();
-  report.mean_us = report.latency.MeanUs();
-  report.inflight_watermark = device_->stats().host_inflight_watermark();
-  report.channel_depth_watermark = device_->stats().max_queue_depth();
+  report.Finish(static_cast<double>(options_.requests) *
+                options_.inter_arrival_us);
   return report;
 }
 

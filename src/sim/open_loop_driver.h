@@ -25,8 +25,8 @@
 #include <deque>
 
 #include "flash/flash_device.h"
-#include "flash/latency_histogram.h"
 #include "ftl/ftl.h"
+#include "sim/load_report.h"
 #include "workload/request_stream.h"
 
 namespace gecko {
@@ -38,32 +38,6 @@ struct OpenLoopOptions {
   uint64_t requests = 1024;
 };
 
-/// What one open-loop run measured (simulated time throughout).
-struct OpenLoopReport {
-  uint64_t arrivals = 0;         // requests generated
-  uint64_t completed = 0;        // requests that completed
-  uint64_t extents = 0;          // extents those requests carried
-  uint64_t extents_offered = 0;  // extents across all arrivals
-  /// Arrivals that found the submission queue full and waited in the
-  /// host overflow queue.
-  uint64_t deferrals = 0;
-  double elapsed_us = 0;        // first arrival -> last completion
-  double offered_kiops = 0;     // extents offered per simulated ms
-  double achieved_kiops = 0;    // extents completed per simulated ms
-  /// Arrival-to-completion latency (includes overflow-queue wait).
-  LatencyHistogram latency;
-  double p50_us = 0;
-  double p99_us = 0;
-  double p999_us = 0;
-  double max_us = 0;
-  double mean_us = 0;
-  /// Host in-flight depth high-watermark (IoStats gauge) — how much of
-  /// the configured queue depth the run actually used.
-  uint32_t inflight_watermark = 0;
-  /// Deepest any channel queue got (per-op watermark).
-  uint32_t channel_depth_watermark = 0;
-};
-
 class OpenLoopDriver {
  public:
   OpenLoopDriver(Ftl* ftl, FlashDevice* device, const OpenLoopOptions& options)
@@ -71,7 +45,7 @@ class OpenLoopDriver {
 
   /// Drives `options.requests` arrivals from `stream`, then drains the
   /// tail. Reentrant: each Run measures only its own requests.
-  OpenLoopReport Run(RequestStream& stream);
+  LoadReport Run(RequestStream& stream);
 
  private:
   struct Deferred {
@@ -79,12 +53,15 @@ class OpenLoopDriver {
     double arrival_us = 0;
   };
 
-  /// Submits one request, recording its arrival-to-completion latency on
-  /// completion. kQueueFull parks it on the overflow queue.
+  /// Submits `d`, recording its arrival-to-completion latency on
+  /// completion. Returns false, leaving `d` untouched, on kQueueFull.
+  bool TrySubmit(Deferred& d, LoadReport* report);
+  /// Submits one arrival, or parks it on the overflow queue when the
+  /// submission queue is full or earlier arrivals are still waiting.
   void SubmitOrDefer(IoRequest&& request, double arrival_us,
-                     OpenLoopReport* report);
+                     LoadReport* report);
   /// Moves overflow-queue requests into freed submission slots, FIFO.
-  void DrainDeferred(OpenLoopReport* report);
+  void DrainDeferred(LoadReport* report);
 
   Ftl* ftl_;
   FlashDevice* device_;

@@ -23,19 +23,16 @@ struct SubmitterState {
   uint64_t queue_full_retries = 0;
 };
 
-/// Completion-side accumulator, guarded by one mutex (completions fire
-/// concurrently on shard worker threads).
+/// Completion-side half of the report, guarded by one mutex (completions
+/// fire concurrently on shard worker threads).
 struct CompletionSink {
   std::mutex mu;
-  uint64_t completed = 0;
-  uint64_t extents_completed = 0;
-  uint64_t aborted = 0;
-  LatencyHistogram latency;
+  LoadReport report;
 };
 
 }  // namespace
 
-ParallelDriverReport ParallelDriver::Run(
+LoadReport ParallelDriver::Run(
     const RequestStream::Options& stream_options,
     const WorkloadFactory& factory) {
   GECKO_CHECK_GE(options_.threads, 1u);
@@ -81,11 +78,11 @@ ParallelDriverReport ParallelDriver::Run(
         {
           std::lock_guard<std::mutex> lock(sink.mu);
           if (result.status.code() == StatusCode::kAborted) {
-            ++sink.aborted;
+            ++sink.report.aborted;
           } else {
-            ++sink.completed;
-            sink.extents_completed += extents;
-            sink.latency.Record(done.complete_us - arrival_us);
+            ++sink.report.completed;
+            sink.report.extents_completed += extents;
+            sink.report.latency.Record(done.complete_us - arrival_us);
           }
         }
         state.outstanding.fetch_sub(1, std::memory_order_acq_rel);
@@ -113,40 +110,18 @@ ParallelDriverReport ParallelDriver::Run(
   for (std::thread& t : threads) t.join();
   ftl_->DrainAsync();  // tail completions land before we read anything
 
-  ParallelDriverReport report;
+  LoadReport report = sink.report;
   for (const SubmitterState& state : states) {
     report.arrivals += state.arrivals;
     report.extents_offered += state.extents_offered;
     report.queue_full_retries += state.queue_full_retries;
   }
-  report.completed = sink.completed;
-  report.extents_completed = sink.extents_completed;
-  report.aborted = sink.aborted;
-  report.latency = sink.latency;
-
-  double makespan = 0;
   for (uint32_t s = 0; s < num_shards; ++s) {
-    makespan =
-        std::max(makespan, ftl_->shard_device(s).now_us() - start_now[s]);
+    report.elapsed_us = std::max(report.elapsed_us,
+                                 ftl_->shard_device(s).now_us() - start_now[s]);
   }
-  report.elapsed_us = makespan;
-  const double offered_window_us =
-      static_cast<double>(options_.requests_per_thread) *
-      options_.inter_arrival_us;
-  report.offered_kiops =
-      offered_window_us > 0
-          ? static_cast<double>(report.extents_offered) / offered_window_us *
-                1000.0
-          : 0;
-  report.achieved_kiops =
-      report.elapsed_us > 0
-          ? static_cast<double>(report.extents_completed) / report.elapsed_us *
-                1000.0
-          : 0;
-  report.p50_us = report.latency.Percentile(0.50);
-  report.p99_us = report.latency.Percentile(0.99);
-  report.max_us = report.latency.MaxUs();
-  report.mean_us = report.latency.MeanUs();
+  report.Finish(static_cast<double>(options_.requests_per_thread) *
+                options_.inter_arrival_us);
   return report;
 }
 

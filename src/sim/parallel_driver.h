@@ -28,8 +28,8 @@
 #include <functional>
 #include <memory>
 
-#include "flash/latency_histogram.h"
 #include "ftl/sharded_ftl.h"
+#include "sim/load_report.h"
 #include "workload/request_stream.h"
 
 namespace gecko {
@@ -46,26 +46,6 @@ struct ParallelDriverOptions {
   uint32_t max_outstanding_per_thread = 16;
 };
 
-/// What one parallel run measured (simulated time throughout).
-struct ParallelDriverReport {
-  uint64_t arrivals = 0;
-  uint64_t completed = 0;
-  uint64_t extents_completed = 0;
-  uint64_t extents_offered = 0;
-  uint64_t queue_full_retries = 0;
-  uint64_t aborted = 0;
-  /// Run makespan: the largest per-shard device-clock advance.
-  double elapsed_us = 0;
-  double offered_kiops = 0;   // extents offered per simulated ms
-  double achieved_kiops = 0;  // extents completed per simulated ms
-  /// Arrival-to-completion latency in device us (includes queueing).
-  LatencyHistogram latency;
-  double p50_us = 0;
-  double p99_us = 0;
-  double max_us = 0;
-  double mean_us = 0;
-};
-
 class ParallelDriver {
  public:
   /// Builds submitter thread `t`'s private workload instance.
@@ -78,9 +58,10 @@ class ParallelDriver {
   /// Runs options.threads submitter threads to completion and drains the
   /// tail. `stream_options` seeds thread 0's prototype; every thread
   /// forks its own deterministic stream from it. The FTL must be
-  /// quiescent on entry.
-  ParallelDriverReport Run(const RequestStream::Options& stream_options,
-                           const WorkloadFactory& factory);
+  /// quiescent on entry. The report's makespan is the largest per-shard
+  /// device-clock advance.
+  LoadReport Run(const RequestStream::Options& stream_options,
+                 const WorkloadFactory& factory);
 
  private:
   ShardedFtl* ftl_;

@@ -44,7 +44,7 @@ PhysicalAddress PvmDriver::Allocate() {
   return out;
 }
 
-void PvmDriver::WriteLpn(Lpn lpn, bool batched) {
+void PvmDriver::WriteLpn(Lpn lpn) {
   EnsureFreeBlocks();
   PhysicalAddress ppa = Allocate();
   SpareArea spare;
@@ -56,25 +56,12 @@ void PvmDriver::WriteLpn(Lpn lpn, bool batched) {
   PhysicalAddress old = mapping_[lpn];
   mapping_[lpn] = ppa;
   if (old.IsValid()) {
-    // Invalidation of the before-image: the store update under test. The
-    // batched loops collect records and submit them once per batch; the
-    // oracle stays exact either way.
-    if (batched) {
-      pending_records_.push_back(old);
-    } else {
-      store_->RecordInvalidPage(old);
-    }
+    // Invalidation of the before-image: the store update under test.
+    store_->RecordInvalidPage(old);
     ++updates_issued_;
     oracle_[old.block].Set(old.page);
     ++invalid_count_[old.block];
   }
-}
-
-void PvmDriver::FlushPendingRecords() {
-  if (pending_records_.empty()) return;
-  std::vector<PhysicalAddress> batch;
-  batch.swap(pending_records_);
-  store_->RecordInvalidPages(batch);
 }
 
 void PvmDriver::Fill() {
@@ -83,43 +70,11 @@ void PvmDriver::Fill() {
   }
 }
 
-void PvmDriver::FillBatched(uint32_t batch_size) {
-  GECKO_CHECK_GT(batch_size, 0u);
-  device_->BeginBatch();
-  for (uint64_t lpn = 0; lpn < num_lpns_; ++lpn) {
-    WriteLpn(static_cast<Lpn>(lpn), /*batched=*/true);
-    if ((lpn + 1) % batch_size == 0) {
-      FlushPendingRecords();
-      device_->EndBatch();
-      device_->BeginBatch();
-    }
-  }
-  FlushPendingRecords();
-  device_->EndBatch();
-}
-
 void PvmDriver::RunUpdates(uint64_t count, Workload& workload) {
   for (uint64_t i = 0; i < count; ++i) {
     device_->stats().OnLogicalWrite();
     WriteLpn(workload.NextLpn());
   }
-}
-
-void PvmDriver::RunUpdateBatches(uint64_t count, uint32_t batch_size,
-                                 Workload& workload) {
-  GECKO_CHECK_GT(batch_size, 0u);
-  device_->BeginBatch();
-  for (uint64_t i = 0; i < count; ++i) {
-    device_->stats().OnLogicalWrite();
-    WriteLpn(workload.NextLpn(), /*batched=*/true);
-    if ((i + 1) % batch_size == 0) {
-      FlushPendingRecords();
-      device_->EndBatch();
-      device_->BeginBatch();
-    }
-  }
-  FlushPendingRecords();
-  device_->EndBatch();
 }
 
 void PvmDriver::EnsureFreeBlocks() {
@@ -146,10 +101,6 @@ void PvmDriver::CollectOne() {
       });
   GECKO_CHECK_NE(victim, kInvalidU32) << "PvmDriver: no reclaimable block";
   ++gc_operations_;
-
-  // Records still pending from a batched loop must reach the store before
-  // its answer is compared against the oracle.
-  FlushPendingRecords();
 
   // The GC query under test, validated against the exact oracle.
   Bitmap invalid = store_->QueryInvalidPages(victim);

@@ -39,35 +39,14 @@ class PvmDriver {
   /// First write of every logical page (device fill).
   void Fill();
 
-  /// Batched fill: invalidation records accumulate per `batch_size` pages
-  /// and reach the store as one RecordInvalidPages call (a fill produces
-  /// none, but re-fills after wraparound do).
-  void FillBatched(uint32_t batch_size);
-
   /// Applies `count` updates drawn from `workload`, running GC as needed.
   void RunUpdates(uint64_t count, Workload& workload);
-
-  /// Batched measurement loop: like RunUpdates, but before-image records
-  /// are collected per `batch_size` updates and submitted as one
-  /// RecordInvalidPages batch — the driver-level analogue of a
-  /// scatter-gather write request. Each batch runs inside one device
-  /// batch window, so its page writes and the store's grouped
-  /// read-modify-writes overlap across channels.
-  void RunUpdateBatches(uint64_t count, uint32_t batch_size,
-                        Workload& workload);
 
   uint64_t gc_operations() const { return gc_operations_; }
   uint64_t updates_issued() const { return updates_issued_; }
 
-  /// Per-channel utilization of the underlying device (busy / elapsed),
-  /// for the channel-scaling reports.
-  std::vector<double> ChannelUtilization() const {
-    return device_->stats().ChannelUtilizations();
-  }
-
  private:
-  void WriteLpn(Lpn lpn, bool batched = false);
-  void FlushPendingRecords();
+  void WriteLpn(Lpn lpn);
   void EnsureFreeBlocks();
   void CollectOne();
   bool IsActiveBlock(BlockId block) const;
@@ -84,9 +63,6 @@ class PvmDriver {
   std::vector<uint32_t> invalid_count_;      // exact, per user block
   std::vector<Bitmap> oracle_;               // exact invalid bitmaps
   StripedFreePool free_pool_;
-  /// Store records collected by the batched loops, flushed once per batch
-  /// (and before any GC query, so the oracle check stays exact).
-  std::vector<PhysicalAddress> pending_records_;
   /// Channel-striped active blocks (one per channel) + round-robin cursor,
   /// mirroring BlockManager's policy.
   std::vector<PhysicalAddress> actives_;

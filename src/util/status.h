@@ -1,7 +1,7 @@
-// Minimal Status / StatusOr types for error reporting without exceptions.
+// Minimal Status type for error reporting without exceptions.
 //
 // Modeled on the absl::Status / rocksdb::Status idiom: functions that can
-// fail in ways the caller should handle return Status (or StatusOr<T>);
+// fail in ways the caller should handle return Status;
 // programming errors abort via GECKO_CHECK.
 
 #ifndef GECKOFTL_UTIL_STATUS_H_
@@ -99,39 +99,6 @@ class Status {
  private:
   StatusCode code_;
   std::string message_;
-};
-
-/// Either a value or an error Status. Dereferencing a non-OK StatusOr aborts.
-template <typename T>
-class StatusOr {
- public:
-  StatusOr(Status status) : status_(std::move(status)) {  // NOLINT(runtime/explicit)
-    GECKO_CHECK(!status_.ok()) << "StatusOr constructed from OK without value";
-  }
-  StatusOr(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-
-  const T& value() const& {
-    GECKO_CHECK(ok()) << status_.ToString();
-    return value_;
-  }
-  T& value() & {
-    GECKO_CHECK(ok()) << status_.ToString();
-    return value_;
-  }
-  T&& value() && {
-    GECKO_CHECK(ok()) << status_.ToString();
-    return std::move(value_);
-  }
-
-  const T& operator*() const& { return value(); }
-  T& operator*() & { return value(); }
-
- private:
-  Status status_;
-  T value_{};
 };
 
 }  // namespace gecko

@@ -49,9 +49,8 @@ class RequestStream {
     /// When `workload.num_lpns > 0` the stream builds and OWNS its own
     /// generator from this spec (seeded deterministically from `seed`,
     /// through a separate derivation so address draws and shape decisions
-    /// never share an RNG stream), and Fork(child) needs no caller-wired
-    /// Workload* — each child constructs its own private generator.
-    /// Default (num_lpns == 0): the external-Workload* constructor.
+    /// never share an RNG stream). Default (num_lpns == 0): the
+    /// external-Workload* constructor.
     WorkloadSpec workload;
   };
 
@@ -98,21 +97,16 @@ class RequestStream {
   /// version range. `workload` must be the child thread's own instance
   /// (Rng is not thread-safe; nothing may be shared across threads).
   RequestStream Fork(uint32_t child, Workload* workload) const {
-    return RequestStream(workload, ChildOptions(child));
+    Options options = options_;
+    options.seed = ForkSeed(options_.seed, child);
+    options.version_base =
+        options_.version_base + (uint64_t{child} + 1) * (uint64_t{1} << 40);
+    return RequestStream(workload, options);
   }
 
-  /// Owned-workload fork: child `i` gets its own generator built from the
-  /// same spec with a seed derived from the child's (already forked)
-  /// stream seed — children draw from uncorrelated address sequences and
-  /// disjoint payload version ranges, with nothing shared across threads.
-  /// Only valid on a stream constructed in owned-workload mode.
-  RequestStream Fork(uint32_t child) const {
-    GECKO_CHECK(owned_ != nullptr)
-        << "Fork(child) without a WorkloadSpec; use Fork(child, workload)";
-    return RequestStream(ChildOptions(child));
-  }
-
-  /// Deterministic payload for the i-th write the stream ever emits.
+  /// Deterministic payload token for (lpn, version); the i-th write the
+  /// stream emits carries version `version_base + i`. Fills and tests use
+  /// the same token through FtlExperiment::Token.
   static uint64_t PayloadToken(Lpn lpn, uint64_t version) {
     uint64_t x = (uint64_t{lpn} << 32) ^ (version * 0x9E3779B97F4A7C15ull);
     x ^= x >> 33;
@@ -174,14 +168,6 @@ class RequestStream {
     GECKO_CHECK_LE(options.trim_fraction, 1.0);
     GECKO_CHECK_GE(options.read_fraction, 0.0);
     GECKO_CHECK_LE(options.read_fraction, 1.0);
-  }
-
-  Options ChildOptions(uint32_t child) const {
-    Options options = options_;
-    options.seed = ForkSeed(options_.seed, child);
-    options.version_base =
-        options_.version_base + (uint64_t{child} + 1) * (uint64_t{1} << 40);
-    return options;
   }
 
   std::unique_ptr<Workload> owned_;  // null in external-Workload* mode

@@ -41,29 +41,6 @@ class Trace {
   std::vector<Lpn> lpns_;
 };
 
-/// Replays a Trace through the Workload interface, wrapping around at the
-/// end so it can drive runs longer than the recording.
-class TraceWorkload : public Workload {
- public:
-  explicit TraceWorkload(const Trace* trace) : trace_(trace) {
-    GECKO_CHECK_GT(trace->size(), 0u) << "cannot replay an empty trace";
-  }
-
-  Lpn NextLpn() override {
-    Lpn out = trace_->at(position_);
-    position_ = (position_ + 1) % trace_->size();
-    return out;
-  }
-
-  const char* Name() const override { return "trace-replay"; }
-
-  uint64_t position() const { return position_; }
-
- private:
-  const Trace* trace_;
-  uint64_t position_ = 0;
-};
-
 }  // namespace gecko
 
 #endif  // GECKOFTL_WORKLOAD_TRACE_H_

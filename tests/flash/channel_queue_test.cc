@@ -32,11 +32,11 @@ TEST(ChannelQueueTest, OpsOnOneChannelSerialize) {
   LatencyModel lat;
   ChannelArray channels(2, lat);
   const FlashSubmission& a = channels.Submit(
-      0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite, nullptr);
+      0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite);
   EXPECT_DOUBLE_EQ(a.start_us, 0.0);
   EXPECT_DOUBLE_EQ(a.complete_us, lat.page_write_us);
   const FlashSubmission& b = channels.Submit(
-      0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead, nullptr);
+      0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
   // Same channel: b queues behind a.
   EXPECT_DOUBLE_EQ(b.start_us, lat.page_write_us);
   EXPECT_DOUBLE_EQ(b.complete_us, lat.page_write_us + lat.page_read_us);
@@ -48,7 +48,7 @@ TEST(ChannelQueueTest, OpsOnDistinctChannelsOverlap) {
   ChannelArray channels(4, lat);
   for (ChannelId c = 0; c < 4; ++c) {
     const FlashSubmission& s = channels.Submit(
-        c, FlashOpKind::kPageWrite, {c, 0}, IoPurpose::kUserWrite, nullptr);
+        c, FlashOpKind::kPageWrite, {c, 0}, IoPurpose::kUserWrite);
     EXPECT_DOUBLE_EQ(s.start_us, 0.0);  // no queueing: private channel
   }
   ChannelArray::DrainResult r = channels.Drain();
@@ -61,21 +61,17 @@ TEST(ChannelQueueTest, OpsOnDistinctChannelsOverlap) {
 TEST(ChannelQueueTest, CallbacksFireInCompletionOrder) {
   LatencyModel lat;
   ChannelArray channels(2, lat);
-  std::vector<uint64_t> order;
-  auto record = [&order](const FlashSubmission& s) { order.push_back(s.id); };
   // Channel 0: slow write (id 1). Channel 1: two fast reads (ids 2, 3).
-  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite,
-                  record);
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  record);
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  record);
-  channels.Drain();
+  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite);
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead);
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead);
+  std::vector<FlashSubmission> completed;
+  channels.Drain(&completed);
   // Both reads (100 us, 200 us) complete before the write (1000 us).
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2u);
-  EXPECT_EQ(order[1], 3u);
-  EXPECT_EQ(order[2], 1u);
+  ASSERT_EQ(completed.size(), 3u);
+  EXPECT_EQ(completed[0].id, 2u);
+  EXPECT_EQ(completed[1].id, 3u);
+  EXPECT_EQ(completed[2].id, 1u);
 }
 
 TEST(ChannelQueueTest, DrainIsIdempotentOnEmptyPipeline) {
@@ -89,11 +85,10 @@ TEST(ChannelQueueTest, DrainIsIdempotentOnEmptyPipeline) {
 TEST(ChannelQueueTest, IdleChannelDoesNotStretchMakespan) {
   LatencyModel lat;
   ChannelArray channels(2, lat);
-  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite,
-                  nullptr);
+  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite);
   channels.Drain();  // now = 1000, channel 1 idle (busy_until 0)
   const FlashSubmission& s = channels.Submit(
-      1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead, nullptr);
+      1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead);
   // The op starts at the current clock, not at the channel's stale
   // busy-until.
   EXPECT_DOUBLE_EQ(s.start_us, lat.page_write_us);
@@ -121,14 +116,10 @@ TEST(ChannelQueueTest, IdleAccountingAccumulatesInterOpGaps) {
 
 TEST(ChannelQueueTest, QueueDepthWatermark) {
   ChannelArray channels(2, LatencyModel());
-  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead,
-                  nullptr);
-  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead,
-                  nullptr);
-  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead,
-                  nullptr);
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  nullptr);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead);
   EXPECT_EQ(channels.depth(0), 3u);
   EXPECT_EQ(channels.depth(1), 1u);
   ChannelArray::DrainResult r = channels.Drain();
@@ -190,17 +181,15 @@ TEST(DeviceBatchTest, NestedWindowsDrainOnceAtOutermostEnd) {
   EXPECT_FALSE(dev.in_batch());
 }
 
-TEST(DeviceBatchTest, CompletionCallbackCarriesTimeline) {
+TEST(ChannelQueueTest, CompletionCallbackCarriesTimeline) {
   LatencyModel lat;
-  FlashDevice dev(ChanneledGeometry(2));
+  ChannelArray channels(2, lat);
+  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
   std::vector<FlashSubmission> done;
-  dev.BeginBatch();
-  dev.WritePageAsync({0, 0}, UserSpare(1), 7, IoPurpose::kUserWrite,
-                     [&done](const FlashSubmission& s) { done.push_back(s); });
-  dev.ReadPageAsync({0, 0}, IoPurpose::kUserRead,
-                    [&done](const FlashSubmission& s) { done.push_back(s); });
-  EXPECT_TRUE(done.empty());  // completions fire at drain, not at submit
-  dev.EndBatch();
+  channels.DrainUntil(0.0, &done);
+  EXPECT_TRUE(done.empty());  // nothing completes at submission time
+  channels.Drain(&done);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0].kind, FlashOpKind::kPageWrite);
   EXPECT_EQ(done[1].kind, FlashOpKind::kPageRead);
@@ -232,12 +221,9 @@ TEST(ChannelQueueTest, DrainUntilRetiresOnlyTheDuePrefix) {
   LatencyModel lat;
   ChannelArray channels(2, lat);
   // ch0: write (done 1000) then read (done 1100). ch1: read (done 100).
-  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite,
-                  nullptr);
-  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead,
-                  nullptr);
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  nullptr);
+  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead);
 
   std::vector<FlashSubmission> completed;
   ChannelArray::DrainResult r = channels.DrainUntil(500, &completed);
@@ -262,27 +248,25 @@ TEST(ChannelQueueTest, DrainUntilRetiresOnlyTheDuePrefix) {
 TEST(ChannelQueueTest, DrainUntilFiresDueCallbacksInCompletionOrder) {
   LatencyModel lat;
   ChannelArray channels(2, lat);
-  std::vector<uint64_t> order;
-  auto record = [&order](const FlashSubmission& s) { order.push_back(s.id); };
-  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0}, IoPurpose::kUserWrite,
-                  record);  // id 1, done 1000
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  record);  // id 2, done 100
-  channels.Submit(1, FlashOpKind::kPageRead, {1, 0}, IoPurpose::kUserRead,
-                  record);  // id 3, done 200
-  channels.DrainUntil(150);
-  ASSERT_EQ(order.size(), 1u);
-  EXPECT_EQ(order[0], 2u);
-  channels.Drain();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[1], 3u);
-  EXPECT_EQ(order[2], 1u);
+  channels.Submit(0, FlashOpKind::kPageWrite, {0, 0},
+                  IoPurpose::kUserWrite);  // id 1, done 1000
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0},
+                  IoPurpose::kUserRead);  // id 2, done 100
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 0},
+                  IoPurpose::kUserRead);  // id 3, done 200
+  std::vector<FlashSubmission> completed;
+  channels.DrainUntil(150, &completed);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed[0].id, 2u);
+  channels.Drain(&completed);
+  ASSERT_EQ(completed.size(), 3u);
+  EXPECT_EQ(completed[1].id, 3u);
+  EXPECT_EQ(completed[2].id, 1u);
 }
 
 TEST(ChannelQueueTest, DrainUntilPastEverythingMovesClockToUntil) {
   ChannelArray channels(2, LatencyModel());
-  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead,
-                  nullptr);
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);
   ChannelArray::DrainResult r = channels.DrainUntil(5000);
   EXPECT_EQ(r.ops, 1u);
   // An idle-time tick: the clock follows the caller's timeline.

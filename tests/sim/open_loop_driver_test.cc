@@ -19,8 +19,8 @@ class OpenLoopDriverTest : public ChannelFtlTest {};
 
 constexpr Lpn kSpan = 64;
 
-OpenLoopReport RunDriver(Ftl* ftl, FlashDevice* device, uint64_t requests,
-                         double inter_arrival_us, double read_fraction) {
+LoadReport RunDriver(Ftl* ftl, FlashDevice* device, uint64_t requests,
+                     double inter_arrival_us, double read_fraction) {
   FtlExperiment::Fill(*ftl, kSpan, /*batch_size=*/16);
   EXPECT_TRUE(ftl->Flush().ok());
   device->stats().Reset();
@@ -43,12 +43,12 @@ TEST_P(OpenLoopDriverTest, EveryArrivalCompletesAndLatencyIsAccounted) {
   FlashDevice device(Geo());
   auto ftl = MakeFtl(FtlName(), &device, 128,
                      [](FtlConfig& c) { c.async_queue_depth = 8; });
-  OpenLoopReport r = RunDriver(ftl.get(), &device, 128,
-                               /*inter_arrival_us=*/50.0,
-                               /*read_fraction=*/0.25);
+  LoadReport r = RunDriver(ftl.get(), &device, 128,
+                           /*inter_arrival_us=*/50.0,
+                           /*read_fraction=*/0.25);
   EXPECT_EQ(r.arrivals, 128u);
   EXPECT_EQ(r.completed, 128u);
-  EXPECT_EQ(r.extents, r.extents_offered);
+  EXPECT_EQ(r.extents_completed, r.extents_offered);
   EXPECT_EQ(r.latency.count(), 128u);
   EXPECT_GT(r.achieved_kiops, 0.0);
   EXPECT_GE(r.p99_us, r.p50_us);
@@ -65,9 +65,9 @@ TEST_P(OpenLoopDriverTest, SaturatingLoadDefersButLosesNothing) {
                      [](FtlConfig& c) { c.async_queue_depth = 2; });
   // One arrival per microsecond against millisecond-scale writes: almost
   // every arrival finds the 2-deep queue full and must wait its turn.
-  OpenLoopReport r = RunDriver(ftl.get(), &device, 64,
-                               /*inter_arrival_us=*/1.0,
-                               /*read_fraction=*/0.0);
+  LoadReport r = RunDriver(ftl.get(), &device, 64,
+                           /*inter_arrival_us=*/1.0,
+                           /*read_fraction=*/0.0);
   EXPECT_EQ(r.completed, 64u);
   EXPECT_GT(r.deferrals, 0u);
   EXPECT_EQ(r.inflight_watermark, 2u);
@@ -81,22 +81,30 @@ TEST_P(OpenLoopDriverTest, BackToBackRunsMeasureIndependently) {
   FlashDevice device(Geo());
   auto ftl = MakeFtl(FtlName(), &device, 128,
                      [](FtlConfig& c) { c.async_queue_depth = 4; });
-  OpenLoopReport first = RunDriver(ftl.get(), &device, 32, 100.0, 0.0);
+  // The first run saturates the 4-deep queue.
+  LoadReport first = RunDriver(ftl.get(), &device, 32, 1.0, 0.0);
   EXPECT_EQ(first.completed, 32u);
+  EXPECT_EQ(first.inflight_watermark, 4u);
 
   UniformWorkload workload(kSpan, 43);
   RequestStream::Options sopt;
   sopt.batch_size = 1;
   sopt.seed = 8;
   RequestStream stream(&workload, sopt);
+  // The second run's arrivals are further apart than any request takes,
+  // so each completes before the next arrives: its own peak is 1, not the
+  // first run's 4.
   OpenLoopOptions oopt;
-  oopt.inter_arrival_us = 100.0;
+  oopt.inter_arrival_us = 100000.0;
   oopt.requests = 32;
   OpenLoopDriver driver(ftl.get(), &device, oopt);
-  OpenLoopReport second = driver.Run(stream);
+  LoadReport second = driver.Run(stream);
   EXPECT_EQ(second.arrivals, 32u);
   EXPECT_EQ(second.completed, 32u);
   EXPECT_EQ(second.latency.count(), 32u);
+  EXPECT_EQ(second.deferrals, 0u);
+  EXPECT_LT(second.max_us, oopt.inter_arrival_us);
+  EXPECT_EQ(second.inflight_watermark, 1u);
 }
 
 GECKO_INSTANTIATE_CHANNEL_FTL_SUITE(OpenLoopDriverTest);

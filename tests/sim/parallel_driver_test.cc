@@ -34,7 +34,7 @@ FtlFactory GeckoFactory() {
   };
 }
 
-ParallelDriverReport RunOnce(uint32_t threads) {
+LoadReport RunOnce(uint32_t threads) {
   ShardedFtl sharded(SmallOptions(4), GeckoFactory());
   ParallelDriverOptions options;
   options.threads = threads;
@@ -48,16 +48,15 @@ ParallelDriverReport RunOnce(uint32_t threads) {
   stream.read_fraction = 0.25;
   stream.seed = 11;
   const uint64_t capacity = sharded.shard_map().TotalLpns();
-  ParallelDriverReport report =
-      driver.Run(stream, [capacity](uint32_t thread) {
-        return std::make_unique<UniformWorkload>(capacity, 500 + thread);
-      });
+  LoadReport report = driver.Run(stream, [capacity](uint32_t thread) {
+    return std::make_unique<UniformWorkload>(capacity, 500 + thread);
+  });
   EXPECT_EQ(sharded.InFlightRequests(), 0u);
   return report;
 }
 
 TEST(ParallelDriverTest, EveryArrivalCompletes) {
-  ParallelDriverReport report = RunOnce(4);
+  LoadReport report = RunOnce(4);
   EXPECT_EQ(report.arrivals, 4u * 64u);
   EXPECT_EQ(report.completed + report.aborted, report.arrivals);
   EXPECT_EQ(report.aborted, 0u);
@@ -72,15 +71,15 @@ TEST(ParallelDriverTest, EveryArrivalCompletes) {
 TEST(ParallelDriverTest, ForkedStreamsMakeRunsDeterministic) {
   // Same seeds, same thread count -> identical offered work. (Completion
   // interleaving varies with scheduling, but the workload must not.)
-  ParallelDriverReport a = RunOnce(2);
-  ParallelDriverReport b = RunOnce(2);
+  LoadReport a = RunOnce(2);
+  LoadReport b = RunOnce(2);
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.extents_offered, b.extents_offered);
   EXPECT_EQ(a.extents_completed, b.extents_completed);
 }
 
 TEST(ParallelDriverTest, SingleThreadStillDrives) {
-  ParallelDriverReport report = RunOnce(1);
+  LoadReport report = RunOnce(1);
   EXPECT_EQ(report.arrivals, 64u);
   EXPECT_EQ(report.completed, 64u);
 }

@@ -58,24 +58,5 @@ TEST(StatusTest, EveryCodeHasADistinctName) {
   }
 }
 
-TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v(42);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), 42);
-  EXPECT_EQ(*v, 42);
-}
-
-TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v(Status::NotFound("nope"));
-  EXPECT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
-}
-
-TEST(StatusOrTest, MoveOutValue) {
-  StatusOr<std::string> v(std::string("payload"));
-  std::string s = std::move(v).value();
-  EXPECT_EQ(s, "payload");
-}
-
 }  // namespace
 }  // namespace gecko

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
-#include "workload/bursty_stream.h"
 #include "workload/request_stream.h"
 
 namespace gecko {
@@ -205,37 +203,17 @@ TEST(RequestStreamTest, OwnedWorkloadShapeKnobsDoNotPerturbAddressDraws) {
   EXPECT_EQ(draws_a, draws_b);
 }
 
-TEST(RequestStreamTest, SkewedForkIsDeterministicPerChild) {
-  // The satellite regression: Fork determinism and disjointness must
-  // survive the Zipf/hot-cold knobs — each forked child builds its own
-  // skewed generator, deterministically.
-  RequestStream::Options options;
-  options.batch_size = 4;
-  options.trim_fraction = 0.1;
-  options.seed = 77;
-  options.workload = WorkloadSpec::Zipf(500, 0.99);
-  RequestStream prototype(options);
-  RequestStream a = prototype.Fork(2);
-  RequestStream b = prototype.Fork(2);
-  for (int i = 0; i < 30; ++i) {
-    IoRequest ra = a.Next(), rb = b.Next();
-    ASSERT_EQ(ra.op, rb.op);
-    ASSERT_EQ(ra.extents.size(), rb.extents.size());
-    for (size_t j = 0; j < ra.extents.size(); ++j) {
-      EXPECT_EQ(ra.extents[j].lpn, rb.extents[j].lpn);
-      EXPECT_EQ(ra.extents[j].payload, rb.extents[j].payload);
-    }
-  }
-}
-
 TEST(RequestStreamTest, SkewedForkedChildrenDrawIndependentAddresses) {
+  // Owned-mode streams seeded ForkSeed(seed, i), as a benchmark seeds its
+  // repetitions: each builds its own skewed generator from the spec.
   RequestStream::Options options;
   options.batch_size = 8;
-  options.seed = 77;
   options.workload = WorkloadSpec::HotCold(5000, 0.05, 0.95);
-  RequestStream prototype(options);
-  RequestStream a = prototype.Fork(0);
-  RequestStream b = prototype.Fork(1);
+  RequestStream::Options child0 = options, child1 = options;
+  child0.seed = RequestStream::ForkSeed(77, 0);
+  child1.seed = RequestStream::ForkSeed(77, 1);
+  RequestStream a(child0);
+  RequestStream b(child1);
   // Children must not mirror each other's address sequence (forked
   // workload seeds differ), even though both hammer the same hot set.
   uint32_t same = 0, total = 0;
@@ -249,62 +227,6 @@ TEST(RequestStreamTest, SkewedForkedChildrenDrawIndependentAddresses) {
   }
   ASSERT_GT(total, 0u);
   EXPECT_LT(same, total / 2);  // hot-set collisions happen; mirroring not
-}
-
-TEST(RequestStreamTest, SkewedForkPayloadVersionsNeverCollideOnHotLpns) {
-  // Hot-set lpns are drawn by EVERY child; their payload tokens must
-  // still never collide across children, because forked version ranges
-  // are disjoint. This is exactly the skewed-workload failure the fork
-  // contract guards against.
-  RequestStream::Options options;
-  options.batch_size = 8;
-  options.seed = 41;
-  options.workload = WorkloadSpec::Zipf(64, 1.2);  // tiny, extremely hot
-  RequestStream prototype(options);
-  RequestStream a = prototype.Fork(0);
-  RequestStream b = prototype.Fork(1);
-  std::set<uint64_t> all_a, all_b;
-  for (int i = 0; i < 50; ++i) {
-    for (const IoExtent& e : a.Next().extents) all_a.insert(e.payload);
-    for (const IoExtent& e : b.Next().extents) all_b.insert(e.payload);
-  }
-  for (uint64_t t : all_a) EXPECT_EQ(all_b.count(t), 0u) << "token " << t;
-}
-
-TEST(RequestStreamDeathTest, OwnedForkWithoutSpecAborts) {
-  UniformWorkload w(100, 1);
-  RequestStream::Options options;
-  RequestStream stream(&w, options);
-  EXPECT_DEATH(stream.Fork(0), "WorkloadSpec");
-}
-
-TEST(BurstyRequestStreamTest, ForkIsDeterministicAndReseedsWrappedStream) {
-  BurstyRequestStream::Options options;
-  options.burst_requests = 4;
-  options.idle_slots = 2;
-  options.stream.batch_size = 4;
-  options.stream.seed = 55;
-  UniformWorkload proto_w(256, 9), w1(256, 9), w2(256, 9), w3(256, 9);
-  BurstyRequestStream prototype(&proto_w, options);
-  BurstyRequestStream a = prototype.Fork(1, &w1);
-  BurstyRequestStream b = prototype.Fork(1, &w2);
-  BurstyRequestStream other = prototype.Fork(2, &w3);
-
-  EXPECT_EQ(a.options().stream.seed, RequestStream::ForkSeed(55, 1));
-  EXPECT_NE(a.options().stream.seed, other.options().stream.seed);
-  EXPECT_NE(a.options().stream.version_base,
-            other.options().stream.version_base);
-
-  for (int i = 0; i < 24; ++i) {
-    BurstyRequestStream::Slot sa = a.Next(), sb = b.Next();
-    ASSERT_EQ(sa.idle, sb.idle);
-    if (sa.idle) continue;
-    ASSERT_EQ(sa.request.extents.size(), sb.request.extents.size());
-    for (size_t j = 0; j < sa.request.extents.size(); ++j) {
-      EXPECT_EQ(sa.request.extents[j].lpn, sb.request.extents[j].lpn);
-      EXPECT_EQ(sa.request.extents[j].payload, sb.request.extents[j].payload);
-    }
-  }
 }
 
 }  // namespace

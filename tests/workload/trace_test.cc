@@ -15,40 +15,6 @@ TEST(TraceTest, RecordCapturesExactSequence) {
   }
 }
 
-TEST(TraceTest, ReplayMatchesRecording) {
-  SequentialWorkload seq(5);
-  Trace trace = Trace::Record(seq, 7);
-  TraceWorkload replay(&trace);
-  for (uint64_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(replay.NextLpn(), trace.at(i));
-  }
-}
-
-TEST(TraceTest, ReplayWrapsAround) {
-  Trace trace;
-  trace.Append(3);
-  trace.Append(8);
-  TraceWorkload replay(&trace);
-  EXPECT_EQ(replay.NextLpn(), 3u);
-  EXPECT_EQ(replay.NextLpn(), 8u);
-  EXPECT_EQ(replay.NextLpn(), 3u);  // wrapped
-  EXPECT_EQ(replay.position(), 1u);
-}
-
-TEST(TraceTest, TwoReplaysAreIndependent) {
-  Trace trace;
-  for (Lpn l : {1u, 2u, 3u}) trace.Append(l);
-  TraceWorkload a(&trace), b(&trace);
-  a.NextLpn();
-  a.NextLpn();
-  EXPECT_EQ(b.NextLpn(), 1u);  // b starts from the beginning
-}
-
-TEST(TraceDeathTest, EmptyTraceRejected) {
-  Trace empty;
-  EXPECT_DEATH(TraceWorkload w(&empty), "empty trace");
-}
-
 TEST(TraceTest, AtOutOfRangeAborts) {
   Trace trace;
   trace.Append(1);
