@@ -13,7 +13,10 @@
 // more >= 2C batch; a flush; a crash and recovery; a read-back of the
 // whole filled range; then lone writes and a second crash without a
 // flush, so recovery also replays what the lone writes left unsynced.
-// Every read is checked against a shadow map.
+// Every read is checked against a shadow map. Both crashes' recovery
+// reports are pinned step by step in GoldenReports(): a report charge
+// with no device IO behind it (DFTL's battery read-back) shows nowhere
+// else.
 
 #include <cstdio>
 #include <map>
@@ -98,6 +101,17 @@ std::string Dump(const Ftl& ftl, const FlashDevice& device) {
   return os.str();
 }
 
+/// Every step of a recovery report: name, spare reads, page reads, page
+/// writes.
+std::string DumpReport(const RecoveryReport& report) {
+  std::ostringstream os;
+  for (const RecoveryStep& step : report.steps) {
+    os << step.name << ": " << step.spare_reads << '/' << step.page_reads
+       << '/' << step.page_writes << "; ";
+  }
+  return os.str();
+}
+
 /// Submits scripted requests and checks every read against a shadow map.
 class Script {
  public:
@@ -149,7 +163,9 @@ class Script {
   uint64_t version_ = 0;
 };
 
-void RunScript(Ftl* ftl) {
+/// Runs the script, appending both crashes' recovery reports (dumped) to
+/// `reports`.
+void RunScript(Ftl* ftl, std::vector<std::string>* reports) {
   Script s(ftl);
   // Fill in cache-overflowing batches (eager per-translation-page commit).
   for (Lpn base = 0; base < kFilled; base += 40) {
@@ -199,10 +215,10 @@ void RunScript(Ftl* ftl) {
       s.Read(lpns);
     }
   };
-  ftl->CrashAndRecover();
+  reports->push_back(DumpReport(ftl->CrashAndRecover()));
   read_back();
   lone_writes(800);
-  ftl->CrashAndRecover();
+  reports->push_back(DumpReport(ftl->CrashAndRecover()));
   read_back();
 }
 
@@ -430,6 +446,267 @@ const std::map<std::string, std::string>& Golden() {
   return *golden;
 }
 
+// Both crashes' recovery reports, one "name: spare reads/page reads/page
+// writes; " group per step. Recorded like Golden().
+const std::map<std::string, std::vector<std::string>>& GoldenReports() {
+  static const auto* golden =
+      new std::map<std::string, std::vector<std::string>>{
+          {"GeckoFTL_ch1_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 43/0/0; "
+            "Gecko run directories: 19/7/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 0/0/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 244/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "Gecko run directories: 14/5/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 32/31/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 245/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; "}},
+          {"GeckoFTL_ch1_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 43/0/0; "
+            "Gecko run directories: 19/7/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 0/0/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 244/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "Gecko run directories: 14/5/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 32/31/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 245/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; "}},
+          {"GeckoFTL_ch4_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 54/0/0; "
+            "Gecko run directories: 53/16/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 0/0/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 286/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 36/0/0; "
+            "Gecko run directories: 45/13/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 10/10/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 288/0/0; "
+            "flush re-derived Gecko buffer: 0/7/12; "}},
+          {"GeckoFTL_ch4_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 54/0/0; "
+            "Gecko run directories: 53/16/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 0/0/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 286/0/0; "
+            "flush re-derived Gecko buffer: 0/2/6; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 36/0/0; "
+            "Gecko run directories: 45/13/0; "
+            "Gecko buffer (erased blocks): 0/0/0; "
+            "Gecko buffer (translation diff): 10/10/0; "
+            "BVC (scan Logarithmic Gecko): 0/4/0; "
+            "dirty mapping entries (backward scan): 288/0/0; "
+            "flush re-derived Gecko buffer: 0/7/12; "}},
+          {"DFTL_ch1_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 95/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 28/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"DFTL_ch1_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 95/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 28/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"DFTL_ch4_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 37/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 46/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"DFTL_ch4_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 37/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 46/0/0; "
+            "PVB read-back (battery copy): 0/1/0; "
+            "BVC (from RAM PVB): 0/0/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"LazyFTL_ch1_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 100/0/0; "
+            "dirty mapping entries (backward scan): 212/0/0; "
+            "synchronize recovered entries: 0/1/0; "
+            "PVB rebuild (translation-table scan): 0/13/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "dirty mapping entries (backward scan): 216/0/0; "
+            "synchronize recovered entries: 0/6/1; "
+            "PVB rebuild (translation-table scan): 0/13/0; "}},
+          {"LazyFTL_ch1_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 100/0/0; "
+            "dirty mapping entries (backward scan): 212/0/0; "
+            "synchronize recovered entries: 0/1/0; "
+            "PVB rebuild (translation-table scan): 0/13/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "dirty mapping entries (backward scan): 216/0/0; "
+            "synchronize recovered entries: 0/6/1; "
+            "PVB rebuild (translation-table scan): 0/13/0; "}},
+          {"LazyFTL_ch4_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 50/0/0; "
+            "dirty mapping entries (backward scan): 261/0/0; "
+            "synchronize recovered entries: 0/1/0; "
+            "PVB rebuild (translation-table scan): 0/13/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "dirty mapping entries (backward scan): 262/0/0; "
+            "synchronize recovered entries: 0/8/1; "
+            "PVB rebuild (translation-table scan): 0/13/0; "}},
+          {"LazyFTL_ch4_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 50/0/0; "
+            "dirty mapping entries (backward scan): 261/0/0; "
+            "synchronize recovered entries: 0/1/0; "
+            "PVB rebuild (translation-table scan): 0/13/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 31/0/0; "
+            "dirty mapping entries (backward scan): 262/0/0; "
+            "synchronize recovered entries: 0/8/1; "
+            "PVB rebuild (translation-table scan): 0/13/0; "}},
+          {"uFTL_ch1_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 47/0/0; "
+            "PVB chunk directory (spare scan): 42/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 32/0/0; "
+            "PVB chunk directory (spare scan): 12/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"uFTL_ch1_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 47/0/0; "
+            "PVB chunk directory (spare scan): 42/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 32/0/0; "
+            "PVB chunk directory (spare scan): 12/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"uFTL_ch4_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 29/0/0; "
+            "PVB chunk directory (spare scan): 55/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 36/0/0; "
+            "PVB chunk directory (spare scan): 35/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"uFTL_ch4_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 29/0/0; "
+            "PVB chunk directory (spare scan): 55/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 36/0/0; "
+            "PVB chunk directory (spare scan): 35/0/0; "
+            "BVC (read PVB chunks): 0/1/0; "
+            "dirty mapping entries (battery): 0/0/0; "}},
+          {"IB_FTL_ch1_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 56/0/0; "
+            "PVL chain heads (full log scan): 40/39/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 212/0/0; "
+            "synchronize recovered entries: 0/2/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 30/0/0; "
+            "PVL chain heads (full log scan): 58/57/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 213/0/0; "
+            "synchronize recovered entries: 0/9/1; "}},
+          {"IB_FTL_ch1_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 56/0/0; "
+            "PVL chain heads (full log scan): 40/39/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 212/0/0; "
+            "synchronize recovered entries: 0/2/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 30/0/0; "
+            "PVL chain heads (full log scan): 58/57/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 213/0/0; "
+            "synchronize recovered entries: 0/9/1; "}},
+          {"IB_FTL_ch4_sync",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 57/0/0; "
+            "PVL chain heads (full log scan): 43/39/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 258/0/0; "
+            "synchronize recovered entries: 0/1/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 25/0/0; "
+            "PVL chain heads (full log scan): 69/57/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 257/0/0; "
+            "synchronize recovered entries: 0/9/1; "}},
+          {"IB_FTL_ch4_async",
+           {"block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 57/0/0; "
+            "PVL chain heads (full log scan): 43/39/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 258/0/0; "
+            "synchronize recovered entries: 0/1/0; ",
+            "block scan (BID): 192/0/0; "
+            "GMD (translation-page spare scan): 25/0/0; "
+            "PVL chain heads (full log scan): 69/57/0; "
+            "BVC (from log scan): 0/0/0; "
+            "dirty mapping entries (backward scan): 257/0/0; "
+            "synchronize recovered entries: 0/9/1; "}},
+      };
+  return *golden;
+}
+
 class RequestPathGoldenTest : public ::testing::TestWithParam<GoldenParam> {};
 
 TEST_P(RequestPathGoldenTest, ScriptCostsMatchRecording) {
@@ -440,7 +717,8 @@ TEST_P(RequestPathGoldenTest, ScriptCostsMatchRecording) {
       MakeFtl(name, &device, kCache,
               [async](FtlConfig& c) { c.async_miss_fetch = async; });
   ASSERT_NE(ftl, nullptr);
-  ASSERT_NO_FATAL_FAILURE(RunScript(ftl.get()));
+  std::vector<std::string> reports;
+  ASSERT_NO_FATAL_FAILURE(RunScript(ftl.get(), &reports));
 
   const std::string key =
       GoldenName(::testing::TestParamInfo<GoldenParam>(GetParam(), 0));
@@ -450,6 +728,15 @@ TEST_P(RequestPathGoldenTest, ScriptCostsMatchRecording) {
       << "no recording for " << key << "; this run:\n    {\"" << key
       << "\",\n     \"" << got << "\"},";
   EXPECT_EQ(got, it->second) << "full dump of " << key << ":\n" << got;
+
+  std::string got_reports;
+  for (const std::string& r : reports) got_reports += "\n     \"" + r + "\",";
+  auto rit = GoldenReports().find(key);
+  ASSERT_TRUE(rit != GoldenReports().end())
+      << "no report recording for " << key << "; this run:\n    {\"" << key
+      << "\", {" << got_reports << "}},";
+  EXPECT_EQ(reports, rit->second)
+      << "recovery reports of " << key << ":" << got_reports;
 }
 
 INSTANTIATE_TEST_SUITE_P(
