@@ -4,9 +4,10 @@
 // A bursty host (bursts of batched writes separated by idle phases) runs
 // against GeckoFTL in two configurations on the same workload:
 //
-//   foreground-only — maintenance.incremental = false: the classic inline
-//     loop collects whole blocks on the user write path whenever the pool
-//     dips below the floor. Idle phases are wasted.
+//   foreground-only — the hard watermark at the floor (an empty throttle
+//     band) and no idle ticks: the classic inline loop collects whole
+//     blocks on the user write path whenever the pool dips below the
+//     floor. Idle phases are wasted.
 //
 //   incremental     — the default watermark ladder, with the simulation
 //     loop handing every idle slot to Ftl::IdleTick(). Background steps
@@ -57,8 +58,7 @@ ModeResult RunMode(uint32_t channels, bool incremental, uint64_t seed) {
   FlashDevice device(g);
   FtlConfig config = GeckoFtl::DefaultConfig(/*cache_capacity=*/256);
   if (!incremental) {
-    config.maintenance.incremental = false;
-    config.maintenance.hard_watermark = 0;  // empty throttle band
+    config.maintenance.hard_watermark = kGcFreeBlockFloor;  // empty band
   } else {
     // Idle-rich host: background ticks carry the whole GC demand, so the
     // soft watermark sits high enough above the floor that a burst
@@ -67,8 +67,8 @@ ModeResult RunMode(uint32_t channels, bool incremental, uint64_t seed) {
     // bursts. The throttle band is left empty here — with these idle
     // margins it would never engage; the watermark/throttle tests
     // exercise that band under saturation instead.
-    config.maintenance.hard_watermark = config.gc_free_block_threshold;
-    config.maintenance.soft_watermark = config.maintenance.hard_watermark + 12;
+    config.maintenance.hard_watermark = kGcFreeBlockFloor;
+    config.maintenance.soft_watermark = kGcFreeBlockFloor + 12;
     config.maintenance.steps_per_tick = 12;
     // Volatile-metadata flushes (the Gecko buffer and its run merges)
     // also move to idle time instead of spiking a mid-burst write.

@@ -25,6 +25,7 @@
 #include "flash/simple_allocator.h"
 #include "ftl/baseline_ftls.h"
 #include "ftl/ftl.h"
+#include "ftl/ftl_factory.h"
 #include "ftl/gecko_ftl.h"
 #include "pvm/flash_pvb.h"
 #include "pvm/gecko_store.h"
@@ -238,60 +239,14 @@ class Harness {
   int mismatches_ = 0;
 };
 
-// --- The five FTLs --------------------------------------------------------
-
-/// The FTLs the comparison benches sweep, in the order they print.
-inline const char* const kFtlNames[] = {"GeckoFTL", "DFTL", "LazyFTL", "uFTL",
-                                        "IB-FTL"};
-
-/// FTL `name`'s DefaultConfig for a mapping cache of `cache` entries.
-inline FtlConfig DefaultFtlConfig(const std::string& name, uint32_t cache) {
-  if (name == "GeckoFTL") return GeckoFtl::DefaultConfig(cache);
-  if (name == "DFTL") return DftlFtl::DefaultConfig(cache);
-  if (name == "LazyFTL") return LazyFtl::DefaultConfig(cache);
-  if (name == "uFTL") return MuFtl::DefaultConfig(cache);
-  GECKO_CHECK(name == "IB-FTL") << "unknown FTL " << name;
-  return IbFtl::DefaultConfig(cache);
-}
-
-/// Builds FTL `name` on `device`.
-inline std::unique_ptr<Ftl> MakeFtl(const std::string& name,
-                                    FlashDevice* device,
-                                    const FtlConfig& config) {
-  if (name == "GeckoFTL") return std::make_unique<GeckoFtl>(device, config);
-  if (name == "DFTL") return std::make_unique<DftlFtl>(device, config);
-  if (name == "LazyFTL") return std::make_unique<LazyFtl>(device, config);
-  if (name == "uFTL") return std::make_unique<MuFtl>(device, config);
-  GECKO_CHECK(name == "IB-FTL") << "unknown FTL " << name;
-  return std::make_unique<IbFtl>(device, config);
-}
-
 // --- PVM experiments ------------------------------------------------------
 
 /// Appends one row per FtlCounters field to `table` (two columns: name,
 /// value), so benches can print batching efficacy alongside the IO
 /// breakdown.
 inline void AddFtlCounterRows(TablePrinter* table, const FtlCounters& c) {
-  const std::pair<const char*, uint64_t> items[] = {
-      {"writes", c.writes},
-      {"reads", c.reads},
-      {"trims", c.trims},
-      {"flushes", c.flushes},
-      {"batches", c.batches},
-      {"batched_pages", c.batched_pages},
-      {"sync_ops", c.sync_ops},
-      {"aborted_sync_ops", c.aborted_sync_ops},
-      {"checkpoints", c.checkpoints},
-      {"gc_collections", c.gc_collections},
-      {"gc_migrations", c.gc_migrations},
-      {"gc_demotions", c.gc_demotions},
-      {"gc_force_skips", c.gc_force_skips},
-      {"uip_detections", c.uip_detections},
-      {"cache_hits", c.cache_hits},
-      {"cache_misses", c.cache_misses},
-  };
-  for (const auto& [name, value] : items) {
-    table->AddRow({name, TablePrinter::Fmt(value)});
+  for (const FtlCounterField& f : kFtlCounterFields) {
+    table->AddRow({f.name, TablePrinter::Fmt(c.*f.member)});
   }
 }
 

@@ -9,8 +9,7 @@
 #include <string>
 
 #include "flash/flash_device.h"
-#include "ftl/baseline_ftls.h"
-#include "ftl/gecko_ftl.h"
+#include "ftl/ftl_factory.h"
 #include "sim/ftl_experiment.h"
 #include "util/table_printer.h"
 #include "workload/workload.h"
@@ -19,18 +18,7 @@ using namespace gecko;
 
 namespace {
 
-std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device) {
-  const uint32_t kCache = 256;
-  if (name == "GeckoFTL")
-    return std::make_unique<GeckoFtl>(device, GeckoFtl::DefaultConfig(kCache));
-  if (name == "DFTL")
-    return std::make_unique<DftlFtl>(device, DftlFtl::DefaultConfig(kCache));
-  if (name == "LazyFTL")
-    return std::make_unique<LazyFtl>(device, LazyFtl::DefaultConfig(kCache));
-  if (name == "uFTL")
-    return std::make_unique<MuFtl>(device, MuFtl::DefaultConfig(kCache));
-  return std::make_unique<IbFtl>(device, IbFtl::DefaultConfig(kCache));
-}
+constexpr uint32_t kCache = 256;
 
 std::unique_ptr<Workload> MakeWorkload(const std::string& kind, uint64_t n) {
   if (kind == "uniform") return std::make_unique<UniformWorkload>(n, 5);
@@ -55,7 +43,7 @@ int main() {
          {std::string("DFTL"), std::string("LazyFTL"), std::string("uFTL"),
           std::string("IB-FTL"), std::string("GeckoFTL")}) {
       FlashDevice device(geometry);
-      auto ftl = Make(name, &device);
+      auto ftl = MakeFtl(name, &device, DefaultFtlConfig(name, kCache));
       FtlExperiment::Fill(*ftl, geometry.NumLogicalPages());
       auto workload = MakeWorkload(wk, geometry.NumLogicalPages());
       WaBreakdown b = FtlExperiment::MeasureWa(*ftl, device, *workload,
@@ -83,7 +71,7 @@ int main() {
        {std::string("uFTL"), std::string("GeckoFTL")}) {
     for (bool batch : {false, true}) {
       FlashDevice device(geometry);
-      auto ftl = Make(name, &device);
+      auto ftl = MakeFtl(name, &device, DefaultFtlConfig(name, kCache));
       FtlExperiment::Fill(*ftl, geometry.NumLogicalPages(), 32);
       UniformWorkload workload(geometry.NumLogicalPages(), 5);
       RequestStream::Options options = FtlExperiment::LoneWrites();

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "flash/flash_device.h"
-#include "ftl/baseline_ftls.h"
-#include "ftl/gecko_ftl.h"
+#include "ftl/ftl_factory.h"
 #include "sim/ftl_experiment.h"
 #include "util/table_printer.h"
 #include "workload/workload.h"
@@ -22,18 +21,7 @@ using namespace gecko;
 
 namespace {
 
-std::unique_ptr<Ftl> Make(const std::string& name, FlashDevice* device) {
-  const uint32_t kCache = 256;
-  if (name == "GeckoFTL")
-    return std::make_unique<GeckoFtl>(device, GeckoFtl::DefaultConfig(kCache));
-  if (name == "DFTL")
-    return std::make_unique<DftlFtl>(device, DftlFtl::DefaultConfig(kCache));
-  if (name == "LazyFTL")
-    return std::make_unique<LazyFtl>(device, LazyFtl::DefaultConfig(kCache));
-  if (name == "uFTL")
-    return std::make_unique<MuFtl>(device, MuFtl::DefaultConfig(kCache));
-  return std::make_unique<IbFtl>(device, IbFtl::DefaultConfig(kCache));
-}
+constexpr uint32_t kCache = 256;
 
 }  // namespace
 
@@ -51,7 +39,8 @@ int main() {
        {std::string("DFTL"), std::string("LazyFTL"), std::string("uFTL"),
         std::string("IB-FTL"), std::string("GeckoFTL")}) {
     FlashDevice device(geometry);
-    auto ftl = Make(name, &device);
+    const FtlConfig config = DefaultFtlConfig(name, kCache);
+    auto ftl = MakeFtl(name, &device, config);
     // Same workload for everyone: batched fill, 10k uniform updates
     // submitted as 32-page scatter-gather requests, and a discarded range
     // whose trim must survive the crash.
@@ -66,8 +55,7 @@ int main() {
     ftl->Submit(trim, nullptr);
 
     RecoveryReport report = ftl->CrashAndRecover();
-    bool battery = name == "DFTL" || name == "uFTL";
-    table.AddRow({name, battery ? "yes" : "no",
+    table.AddRow({name, config.battery ? "yes" : "no",
                   TablePrinter::Fmt(report.TotalSpareReads()),
                   TablePrinter::Fmt(report.TotalPageReads()),
                   TablePrinter::Fmt(report.TotalPageWrites()),

@@ -12,7 +12,7 @@ uint32_t FaultModel::RollTransientReadRetries(PhysicalAddress addr) {
   if (!config_.enabled || config_.transient_read_fault_rate <= 0.0) return 0;
   if (!rng_.Bernoulli(config_.transient_read_fault_rate)) return 0;
   // The fault always clears within the retry budget: uniform in [1, R].
-  return 1 + static_cast<uint32_t>(rng_.Uniform(config_.max_read_retries));
+  return 1 + static_cast<uint32_t>(rng_.Uniform(kMaxReadRetries));
 }
 
 bool FaultModel::RollHardReadFault(PhysicalAddress addr, bool rate_eligible) {

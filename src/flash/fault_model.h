@@ -6,7 +6,7 @@
 // blocks. The FaultModel decides — reproducibly, from a seed — which ops
 // fail and how, while FlashDevice applies the consequences to the medium:
 //
-//   transient read fault  succeeds after <= max_read_retries extra read
+//   transient read fault  succeeds after <= kMaxReadRetries extra read
 //                         ops (latency only; data is intact)
 //   hard read fault       uncorrectable: the read returns media_error and
 //                         the FTL surfaces kIoError per extent
@@ -37,6 +37,10 @@ namespace gecko {
 
 /// Knobs for the fault plane. Default-constructed == perfect medium (the
 /// pre-fault-injection behaviour, bit for bit).
+/// Retry budget R: a transient read fault always clears within [1, R]
+/// extra read ops (the device charges each through its channel queue).
+inline constexpr uint32_t kMaxReadRetries = 3;
+
 struct FaultConfig {
   bool enabled = false;   // master switch; false short-circuits every roll
   uint64_t seed = 1;      // seed for the fault plane's private Rng
@@ -45,10 +49,6 @@ struct FaultConfig {
   double hard_read_fault_rate = 0.0;       // per kUserRead page read
   double program_fault_rate = 0.0;         // per page program
   double erase_fault_rate = 0.0;           // per block erase
-
-  /// Retry budget R: a transient fault always clears within [1, R] extra
-  /// read ops (the device charges each through its channel queue).
-  uint32_t max_read_retries = 3;
 
   /// Blocks retired before first use (shipped bad-block list).
   std::vector<BlockId> factory_bad;
@@ -66,7 +66,7 @@ class FaultModel {
   // --- Per-op rolls (consulted by FlashDevice) ---------------------------
 
   /// Extra read ops a transient fault costs this page read: 0 = no fault,
-  /// otherwise in [1, max_read_retries]. Armed triggers fire first.
+  /// otherwise in [1, kMaxReadRetries]. Armed triggers fire first.
   uint32_t RollTransientReadRetries(PhysicalAddress addr);
 
   /// Whether this user-data page read is uncorrectable. Armed triggers

@@ -183,6 +183,11 @@ PageReadResult FlashDevice::ReadSpare(PhysicalAddress addr, IoPurpose purpose) {
   CheckAddress(addr);
   stats_.OnSpareRead(purpose);
   SubmitOp(FlashOpKind::kSpareRead, addr, purpose);
+  return PeekSpare(addr);
+}
+
+PageReadResult FlashDevice::PeekSpare(PhysicalAddress addr) const {
+  CheckAddress(addr);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   // Spare reads never fault by rate (firmware keeps OOB metadata under

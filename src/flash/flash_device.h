@@ -221,6 +221,11 @@ class FlashDevice {
   /// Whether `addr` holds a programmed (not-yet-erased) page.
   bool IsWritten(PhysicalAddress addr) const;
 
+  /// ReadSpare's result without charging the op: introspection for debug
+  /// oracles, which must not move channel clocks or draw from the fault
+  /// model of the run they check.
+  PageReadResult PeekSpare(PhysicalAddress addr) const;
+
   /// Lifetime erase count of `block`.
   uint32_t EraseCount(BlockId block) const;
 

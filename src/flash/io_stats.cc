@@ -77,23 +77,6 @@ IoCounters& IoCounters::operator+=(const IoCounters& other) {
   return *this;
 }
 
-void AggregateIoView::Absorb(const IoStats& stats) {
-  counters += stats.counters();
-  elapsed_us = std::max(elapsed_us, stats.elapsed_us());
-  submissions += stats.total_submissions();
-  max_queue_depth = std::max(max_queue_depth, stats.max_queue_depth());
-  host_admissions += stats.host_admissions();
-  read_retries += stats.read_retries();
-  transient_read_faults += stats.transient_read_faults();
-  hard_read_faults += stats.hard_read_faults();
-  program_faults += stats.program_faults();
-  erase_faults += stats.erase_faults();
-  for (int c = 0; c < kNumRequestClasses; ++c) {
-    request_latency[c].Merge(
-        stats.RequestLatency(static_cast<RequestClass>(c)));
-  }
-}
-
 double IoCounters::WriteAmplification(double delta) const {
   if (logical_writes == 0) return 0.0;
   double internal = static_cast<double>(InternalWrites()) +

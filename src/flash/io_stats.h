@@ -99,29 +99,6 @@ struct IoCounters {
   std::string DebugString() const;
 };
 
-/// Merged read-only view over the IoStats of several devices — the
-/// aggregate a sharded front end reports when each LPN shard owns a
-/// private FlashDevice (ftl/sharded_ftl.h). Operation counts add;
-/// simulated time takes the max across shards (their device clocks run
-/// in parallel, so the aggregate timeline is the slowest shard's);
-/// latency distributions merge bucket-wise.
-struct AggregateIoView {
-  IoCounters counters;
-  double elapsed_us = 0;         // max of per-shard elapsed times
-  uint64_t submissions = 0;      // summed channel submissions
-  uint32_t max_queue_depth = 0;  // deepest channel queue of any shard
-  uint64_t host_admissions = 0;  // summed host-queue admissions
-  uint64_t read_retries = 0;         // summed media-fault counters
-  uint64_t transient_read_faults = 0;
-  uint64_t hard_read_faults = 0;
-  uint64_t program_faults = 0;
-  uint64_t erase_faults = 0;
-  std::array<LatencyHistogram, kNumRequestClasses> request_latency;
-
-  /// Folds one shard's IoStats into the view.
-  void Absorb(const class IoStats& stats);
-};
-
 /// Mutable accumulator owned by the FlashDevice. Operation *counts* are
 /// recorded at submission time (OnPageRead & co.); simulated *time* flows
 /// in from the channel pipeline (AdvanceElapsed / OnChannelComplete), so
@@ -179,7 +156,6 @@ class IoStats {
 
   /// A request was admitted into the host submission queue.
   void OnHostAdmit() {
-    ++host_admissions_;
     uint32_t depth = ++host_inflight_;
     if (depth > host_inflight_watermark_) host_inflight_watermark_ = depth;
   }
@@ -195,8 +171,6 @@ class IoStats {
   uint32_t host_inflight() const { return host_inflight_; }
   /// Deepest the host queue ever got (lifetime watermark).
   uint32_t host_inflight_watermark() const { return host_inflight_watermark_; }
-  /// Lifetime admissions into the host queue.
-  uint64_t host_admissions() const { return host_admissions_; }
   /// Lifetime kQueueFull rejections.
   uint64_t host_queue_full() const { return host_queue_full_; }
 
@@ -318,7 +292,6 @@ class IoStats {
     max_queue_depth_ = 0;
     submissions_ = 0;
     host_inflight_watermark_ = host_inflight_;
-    host_admissions_ = 0;
     host_queue_full_ = 0;
     // miss_fetch_inflight_ is live pipeline state too (fetches issued
     // before the Reset still complete after it).
@@ -345,7 +318,6 @@ class IoStats {
   uint64_t submissions_ = 0;
   uint32_t host_inflight_ = 0;
   uint32_t host_inflight_watermark_ = 0;
-  uint64_t host_admissions_ = 0;
   uint64_t host_queue_full_ = 0;
   uint32_t miss_fetch_inflight_ = 0;
   uint32_t miss_fetch_inflight_watermark_ = 0;

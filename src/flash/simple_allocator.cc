@@ -30,37 +30,24 @@ void SimpleAllocator::PushFreeBlock(BlockId block) {
   free_pool_.Push(block, device_->ChannelOf(block));
 }
 
-void SimpleAllocator::ConfigureTempClasses(uint32_t num_classes) {
-  GECKO_CHECK_GE(num_classes, 1u);
-  for (const PhysicalAddress& a : actives_) {
-    GECKO_CHECK(!a.IsValid())
-        << "temperature classes must be configured before the first "
-           "allocation";
-  }
-  temp_classes_ = num_classes;
-  actives_.assign(uint64_t{temp_classes_} * stripe_, kNullAddress);
-  next_slot_.assign(temp_classes_, 0);
-}
-
 PhysicalAddress SimpleAllocator::AllocatePage(PageType type, uint32_t stream,
                                               uint8_t temp) {
   (void)type;
-  GECKO_CHECK_LT(temp, temp_classes_);
-  const uint32_t base = uint32_t{temp} * stripe_;
+  GECKO_CHECK(temp == 0) << "SimpleAllocator keeps one temperature class";
   const uint32_t pages_per_block = device_->geometry().pages_per_block;
   uint32_t slot;
   if (stream != kNoStream) {
-    slot = base + stream % stripe_;  // stream-affine: see PageAllocator
+    slot = stream % stripe_;  // stream-affine: see PageAllocator
   } else {
-    slot = base + next_slot_[temp];
-    next_slot_[temp] = (next_slot_[temp] + 1) % stripe_;
+    slot = next_slot_;
+    next_slot_ = (next_slot_ + 1) % stripe_;
   }
   PhysicalAddress* active = &actives_[slot];
   if (!active->IsValid() || active->page >= pages_per_block) {
     BlockId retired = active->IsValid() ? active->block : kInvalidU32;
     GECKO_CHECK_GT(free_pool_.size(), 0u)
         << "SimpleAllocator out of blocks; enlarge the metadata region";
-    *active = PhysicalAddress{free_pool_.Take(slot - base), 0};
+    *active = PhysicalAddress{free_pool_.Take(slot), 0};
     // Re-check a retiring active: it may have become fully invalid while
     // it was still the append target (skipped by EraseIfFullyInvalid).
     if (retired != kInvalidU32) EraseIfFullyInvalid(retired);
@@ -107,7 +94,7 @@ void SimpleAllocator::RecoverRamState(
   std::fill(live_count_.begin(), live_count_.end(), 0);
   free_pool_.Clear();
   std::fill(actives_.begin(), actives_.end(), kNullAddress);
-  std::fill(next_slot_.begin(), next_slot_.end(), 0u);
+  next_slot_ = 0;
   for (const PhysicalAddress& pa : live_pages) {
     GECKO_CHECK_GE(pa.block, first_block_);
     GECKO_CHECK_LT(pa.block, first_block_ + num_blocks_);

@@ -30,11 +30,6 @@ class SimpleAllocator : public PageAllocator {
   SimpleAllocator(FlashDevice* device, BlockId first_block, uint32_t num_blocks,
                   IoPurpose erase_purpose = IoPurpose::kPvm);
 
-  /// Grows the allocator to `num_classes` sets of per-channel active
-  /// blocks (temperature-separated experiments). Must run before the
-  /// first allocation; 1 keeps the classic per-channel layout.
-  void ConfigureTempClasses(uint32_t num_classes);
-
   PhysicalAddress AllocatePage(PageType type, uint32_t stream = kNoStream,
                                uint8_t temp = 0) override;
   void OnMetadataPageInvalidated(PhysicalAddress addr) override;
@@ -59,12 +54,10 @@ class SimpleAllocator : public PageAllocator {
   BlockId first_block_;
   uint32_t num_blocks_;
   IoPurpose erase_purpose_;
-  uint32_t stripe_;  // active slots per class = geometry.num_channels
-  uint32_t temp_classes_ = 1;
-  /// Next page to hand out: temp_classes_ * stripe_ slots, class-major
-  /// (slot = temp * stripe_ + channel), with a cursor per class.
+  uint32_t stripe_;  // active slots = geometry.num_channels
+  /// Next page to hand out, per channel slot.
   std::vector<PhysicalAddress> actives_;
-  std::vector<uint32_t> next_slot_ = std::vector<uint32_t>(1, 0);
+  uint32_t next_slot_ = 0;  // round-robin cursor for stream-less pages
   StripedFreePool free_pool_;
   std::vector<uint32_t> live_count_;  // per owned block, indexed from 0
   uint64_t blocks_erased_ = 0;

@@ -46,7 +46,6 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
   Status invalid = Validate(request);
   if (!invalid.ok()) return invalid;
   if (in_flight() >= queue_depth_) {
-    ++stats_.queue_full;
     device_->stats().OnHostQueueFull();
     return Status::QueueFull("host submission queue at its in-flight cap");
   }
@@ -149,11 +148,9 @@ void AsyncEngine::ParkMisses(Inflight& r, const MissSink& sink) {
       it = ongoing_fetches_.emplace(miss.tpage, MappingFetch{}).first;
       it->second.complete_us = fetch_done_us;
       fetch_heap_.push({fetch_done_us, miss.tpage});
-      ++stats_.miss_fetches;
       device_->stats().OnMissFetchIssued();
     } else {
       // A fetch of this page is already in flight: coalesce onto it.
-      ++stats_.miss_joins;
       host_->NoteCoalescedMiss();
       device_->stats().OnCoalescedMiss();
     }

@@ -131,10 +131,8 @@ struct AsyncEngineStats {
   uint64_t dispatched = 0; // requests serviced (parked ones count on release)
   uint64_t completed = 0;  // callbacks fired with a real completion
   uint64_t aborted = 0;    // in-flight requests killed by a power failure
-  uint64_t queue_full = 0; // admissions refused at the in-flight cap
-  // Translation-miss pipeline:
-  uint64_t miss_fetches = 0;     // coalesced translation fetches issued
-  uint64_t miss_joins = 0;       // extents that joined an in-flight fetch
+  // Translation-miss pipeline (fetches issued and joined, and refused
+  // admissions, count in the device's IoStats):
   uint64_t parked_extents = 0;   // extents parked on fetch waiting lists
   uint64_t replayed_extents = 0; // parked extents replayed after their fetch
   uint64_t aborted_parked_extents = 0;  // parked extents killed by a crash

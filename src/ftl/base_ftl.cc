@@ -502,7 +502,7 @@ void BaseFtl::DebugCheckNotAuthoritative(PhysicalAddress addr,
   // Ground-truth invariant for every invalidation report: a strictly newer
   // on-flash copy of the page's lpn must exist somewhere on the device.
   if (!device_->IsWritten(addr)) return;
-  PageReadResult r = device_->ReadSpare(addr, IoPurpose::kOther);
+  PageReadResult r = device_->PeekSpare(addr);
   // A failed-program page is never authoritative (its data was re-placed
   // before the write completed), so a report for it is always legitimate.
   if (r.media_error || !r.spare.IsUser()) return;
@@ -512,7 +512,7 @@ void BaseFtl::DebugCheckNotAuthoritative(PhysicalAddress addr,
     for (uint32_t p = 0; p < g.pages_per_block; ++p) {
       PhysicalAddress other{b, p};
       if (other == addr || !device_->IsWritten(other)) continue;
-      PageReadResult o = device_->ReadSpare(other, IoPurpose::kOther);
+      PageReadResult o = device_->PeekSpare(other);
       if (o.spare.IsUser() && o.spare.key == lpn &&
           o.spare.seq > r.spare.seq) {
         return;  // a newer copy exists: the report is legitimate
@@ -534,7 +534,7 @@ void BaseFtl::ReportInvalid(PhysicalAddress addr) {
     // store query or erase record.
     pending_invalid_.push_back(addr);
   } else {
-    pvm()->RecordInvalidPage(addr);
+    store_->RecordInvalidPage(addr);
   }
   // BVC tracks identified-invalid pages; clamp against double reports
   // (possible after recovery, Appendix C.3.2 — harmless for the bitmap,
@@ -551,7 +551,7 @@ void BaseFtl::FlushPendingInvalid() {
   if (pending_invalid_.empty()) return;
   std::vector<PhysicalAddress> batch;
   batch.swap(pending_invalid_);
-  pvm()->RecordInvalidPages(batch);
+  store_->RecordInvalidPages(batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,8 +623,6 @@ void BaseFtl::SyncTranslationPage(TPageId tpage) {
                                                  IoPurpose::kTranslation);
   if (old.IsValid()) OnTranslationPageReplaced(tpage, old);
 }
-
-void BaseFtl::OnTranslationPageReplaced(TPageId, PhysicalAddress) {}
 
 void BaseFtl::EvictOne() {
   Lpn victim = cache_.PeekEvictionVictim();
@@ -844,7 +842,7 @@ void BaseFtl::StartCollection(BlockId victim) {
     // store before its bitmap is queried.
     FlushPendingInvalid();
     // One GC query to the page-validity store (Section 4, Figure 7).
-    gc_.invalid = pvm()->QueryInvalidPages(victim);
+    gc_.invalid = store_->QueryInvalidPages(victim);
     gc_victim_ = victim;
     gc_victim_fresh_invalid_ = Bitmap(device_->geometry().pages_per_block);
   } else {
@@ -947,7 +945,7 @@ uint32_t BaseFtl::MigrateUserPages(uint32_t max_migrations) {
     {
       const MappingEntry* e = cache_.Peek(lpn);
       PhysicalAddress authoritative =
-          e != nullptr ? e->ppa : translation_.Lookup(lpn, IoPurpose::kOther);
+          e != nullptr ? e->ppa : translation_.PeekMapping(lpn);
       if (authoritative != addr) {
         std::fprintf(stderr,
                      "ZOMBIE MIGRATION lpn=%u page=%s auth=%s cached=%d "
@@ -1010,7 +1008,7 @@ uint32_t BaseFtl::MigrateMetadataPages(uint32_t max_migrations) {
         ++migrated;
       }
     } else {
-      MigratePvmPage(addr);
+      if (store_->RelocatePage(addr)) ++counters_.gc_migrations;
       ++migrated;
     }
   }
@@ -1028,12 +1026,12 @@ void BaseFtl::FinishCollection() {
     for (uint32_t p = 0; p < g.pages_per_block; ++p) {
       PhysicalAddress a{victim, p};
       if (!device_->IsWritten(a)) continue;
-      PageReadResult r = device_->ReadSpare(a, IoPurpose::kOther);
+      PageReadResult r = device_->PeekSpare(a);
       if (r.media_error || !r.spare.IsUser()) continue;
       Lpn lpn = r.spare.key;
       const MappingEntry* e = cache_.Peek(lpn);
       PhysicalAddress auth =
-          e != nullptr ? e->ppa : translation_.Lookup(lpn, IoPurpose::kOther);
+          e != nullptr ? e->ppa : translation_.PeekMapping(lpn);
       if (auth == a) {
         std::fprintf(stderr,
                      "ERASING LIVE PAGE lpn=%u page=%s invalid_bit=%d "
@@ -1056,7 +1054,7 @@ void BaseFtl::FinishCollection() {
     // invalidations from migration-driven evictions can target the victim
     // itself) must land before the erase record obsoletes them.
     FlushPendingInvalid();
-    pvm()->RecordErase(victim);
+    store_->RecordErase(victim);
     bvc_[victim] = 0;
     EraseBlockForGc(victim, IoPurpose::kGcMigration);
   } else {
@@ -1065,11 +1063,6 @@ void BaseFtl::FinishCollection() {
                                 : IoPurpose::kPvm);
   }
   gc_ = GcCursor{};
-}
-
-void BaseFtl::MigratePvmPage(PhysicalAddress) {
-  GECKO_CHECK(false) << "this FTL has no flash-resident validity pages to "
-                        "migrate (or must override MigratePvmPage)";
 }
 
 void BaseFtl::EraseBlockForGc(BlockId block, IoPurpose purpose) {
@@ -1097,45 +1090,6 @@ void BaseFtl::UpsertCacheEntry(Lpn lpn, PhysicalAddress ppa, bool uip) {
 // ---------------------------------------------------------------------------
 // Power failure and recovery (Section 4.3, Appendix C).
 // ---------------------------------------------------------------------------
-
-void BaseFtl::OnPowerFailing() {
-  if (!config_.battery) return;
-  // Battery-backed FTLs synchronize all dirty entries before power runs
-  // out (Section 2). The IO happens on residual power and does not count
-  // toward recovery time; it is charged to kOther so write-amplification
-  // measurements remain clean.
-  SyncTranslationPagesOf(cache_.DirtyLpns());
-}
-
-std::vector<BlockManager::BidEntry> BaseFtl::BuildBid(
-    RecoveryReport* report) {
-  // GeckoRec step 1: one spare read per block gives its type and the
-  // timestamp of its first page (the Blocks Information Directory).
-  const Geometry& g = device_->geometry();
-  RecoveryStep& step = report->Add("block scan (BID)");
-  std::vector<BlockManager::BidEntry> bid(g.num_blocks);
-  for (BlockId b = 0; b < g.num_blocks; ++b) {
-    PageReadResult r =
-        device_->ReadSpare(PhysicalAddress{b, 0}, IoPurpose::kRecovery);
-    ++step.spare_reads;
-    BlockManager::BidEntry& e = bid[b];
-    if (!r.written) {
-      e.type = PageType::kFree;
-      continue;
-    }
-    e.type = r.spare.type;
-    e.first_seq = r.spare.seq;
-    e.temp = r.spare.temp;
-    e.pages_written = device_->PagesWritten(b);
-  }
-  return bid;
-}
-
-void BaseFtl::RecoverGmdStep(RecoveryReport* report) {
-  RecoveryStep& step = report->Add("GMD (translation-page spare scan)");
-  step.spare_reads = translation_.RecoverGmd(
-      blocks_.BlocksOfType(PageType::kTranslation), &recovered_versions_);
-}
 
 void BaseFtl::BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
                                          bool mark_uncertain,
@@ -1274,14 +1228,6 @@ void BaseFtl::BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
   }
 }
 
-void BaseFtl::RecoverDirtyEntries(RecoveryReport* report) {
-  uint64_t bound = config_.checkpoint_period > 0 ? config_.checkpoint_period
-                                                 : cache_.capacity();
-  BackwardScanRecoverEntries(bound, /*mark_uip=*/true,
-                             /*mark_uncertain=*/true,
-                             /*report_duplicates=*/true, report);
-}
-
 void BaseFtl::SweepDeadMetadataBlocks() {
   if (config_.gc_policy != GcPolicy::kNeverCollectMetadata) return;
   const Geometry& g = device_->geometry();
@@ -1294,16 +1240,6 @@ void BaseFtl::SweepDeadMetadataBlocks() {
     EraseBlockForGc(b, type == PageType::kTranslation ? IoPurpose::kTranslation
                                                       : IoPurpose::kPvm);
   }
-}
-
-void BaseFtl::SyncAllDirty(RecoveryReport* report) {
-  RecoveryStep& step = report->Add("synchronize recovered entries");
-  IoCounters before = device_->stats().Snapshot();
-  SyncTranslationPagesOf(cache_.DirtyLpns());
-  IoCounters delta = device_->stats().Snapshot() - before;
-  step.page_reads = delta.TotalReads();
-  step.page_writes = delta.TotalWrites();
-  step.spare_reads = delta.TotalSpareReads();
 }
 
 RecoveryReport BaseFtl::CrashAndRecover() {
@@ -1320,7 +1256,10 @@ RecoveryReport BaseFtl::CrashAndRecover() {
       << "power failure inside a batched request";
   GECKO_CHECK(!device_->in_batch())
       << "power failure inside a device batch window";
-  OnPowerFailing();
+  // Battery-backed FTLs synchronize all dirty entries before power runs
+  // out (Section 2). The IO happens on residual power and does not count
+  // toward recovery time.
+  if (config_.battery) SyncTranslationPagesOf(cache_.DirtyLpns());
 
   // Power failure: all RAM-resident structures vanish — including the
   // resumable-GC cursor. A collection interrupted at any step boundary is
@@ -1345,10 +1284,31 @@ RecoveryReport BaseFtl::CrashAndRecover() {
   blocks_.set_compact_mode(false);
   scheduler_.ResetAfterCrash();
 
+  // GeckoRec step 1: one spare read per block gives its type and the
+  // timestamp of its first page (the Blocks Information Directory).
   RecoveryReport report;
-  last_bid_ = BuildBid(&report);  // step 1
+  const Geometry& g = device_->geometry();
+  RecoveryStep& bid_step = report.Add("block scan (BID)");
+  last_bid_.assign(g.num_blocks, BlockManager::BidEntry{});
+  for (BlockId b = 0; b < g.num_blocks; ++b) {
+    PageReadResult r =
+        device_->ReadSpare(PhysicalAddress{b, 0}, IoPurpose::kRecovery);
+    ++bid_step.spare_reads;
+    BlockManager::BidEntry& e = last_bid_[b];
+    if (!r.written) {
+      e.type = PageType::kFree;
+      continue;
+    }
+    e.type = r.spare.type;
+    e.first_seq = r.spare.seq;
+    e.temp = r.spare.temp;
+    e.pages_written = device_->PagesWritten(b);
+  }
   blocks_.RecoverFromBid(last_bid_);
-  RecoverGmdStep(&report);  // step 2
+  // Step 2: the GMD, from the translation blocks' spare areas.
+  report.Add("GMD (translation-page spare scan)").spare_reads =
+      translation_.RecoverGmd(blocks_.BlocksOfType(PageType::kTranslation),
+                              &recovered_versions_);
 
   // Translation-block liveness: the pages the GMD references are live.
   std::vector<PhysicalAddress> live_translation;
@@ -1357,10 +1317,53 @@ RecoveryReport BaseFtl::CrashAndRecover() {
   }
   blocks_.RecoverMetadataLiveCounts(live_translation);
 
-  RecoverPvm(&report);           // steps 3-4 (store-specific)
-  RecoverBvc(&report);           // step 5
-  RecoverDirtyEntries(&report);  // steps 6-7
-  OnRecoveryComplete(&report);   // persist re-derived state
+  // Steps 3-5: the store rebuilds itself from its own blocks, then the
+  // BVC is counted from it. A battery also saves the store's RAM state
+  // (DFTL's RAM PVB, Section 5.3); a flash-resident store still scans its
+  // blocks, since the block manager lost its metadata live counts.
+  if (!config_.battery) store_->ResetRamState();
+  StoreRecovery store = store_->Recover(
+      blocks_.BlocksOfType(PageType::kPvm), &report);
+  blocks_.RecoverMetadataLiveCounts(store.live_pages);
+  OnStoreRecovered(&report);
+  if (store.in_flash || config_.battery) {
+    // Else a RAM store was lost: its FTL rebuilds PVB and BVC (LazyFTL).
+    std::vector<uint32_t> counts = store_->InvalidCounts(&report);
+    for (BlockId block = 0; block < counts.size(); ++block) {
+      if (blocks_.BlockType(block) == PageType::kUser) {
+        bvc_[block] = std::min(counts[block], g.pages_per_block);
+      }
+    }
+  }
+
+  // Steps 6-7: dirty mapping entries.
+  if (config_.battery) {
+    // Synchronized on residual power: nothing to recover (Figure 13).
+    report.Add("dirty mapping entries (battery)");
+  } else if (config_.DirtyCap() > 0) {
+    // LazyFTL/IB-FTL bound dirty entries at runtime and synchronize them
+    // before normal operation resumes — the recovery-time vs
+    // write-amplification contention GeckoFTL removes (Section 4.3).
+    BackwardScanRecoverEntries(config_.checkpoint_period, /*mark_uip=*/false,
+                               /*mark_uncertain=*/true,
+                               /*report_duplicates=*/false, &report);
+    RecoveryStep& step = report.Add("synchronize recovered entries");
+    IoCounters before = device_->stats().Snapshot();
+    SyncTranslationPagesOf(cache_.DirtyLpns());
+    IoCounters delta = device_->stats().Snapshot() - before;
+    step.page_reads = delta.TotalReads();
+    step.page_writes = delta.TotalWrites();
+    step.spare_reads = delta.TotalSpareReads();
+  } else {
+    // GeckoRec: a checkpoint-bounded scan; the entries stay dirty and
+    // are synchronized lazily after normal operation resumes.
+    BackwardScanRecoverEntries(config_.checkpoint_period > 0
+                                   ? config_.checkpoint_period
+                                   : cache_.capacity(),
+                               /*mark_uip=*/true, /*mark_uncertain=*/true,
+                               /*report_duplicates=*/true, &report);
+  }
+  OnRecoveryComplete(&report);
   // The entries the scan re-created are the pre-crash instance's
   // un-checkpointed backlog, not freshly dirtied work: age them one epoch
   // so the next checkpoint (not the one after) synchronizes them, and

@@ -4,15 +4,16 @@
 // (Section 4): a flash-resident translation table with GMD, an LRU mapping
 // cache with synchronization operations, a BVC, garbage collection with
 // pluggable victim policy, checkpoints, dirty-entry caps, and power-failure
-// recovery helpers. Subclasses provide the page-validity store and the
-// store-specific recovery steps:
+// recovery. The five FTLs differ in two choices (Section 5.3): the
+// page-validity store a subclass hands to BaseFtl, and how dirty mapping
+// entries survive power loss, which BaseFtl picks from the config:
 //
-//   GeckoFtl  — Logarithmic Gecko, lazy UIP identification, metadata-aware
-//               GC, GeckoRec recovery (the paper's contribution).
-//   DftlFtl   — RAM PVB + battery.
-//   LazyFtl   — RAM PVB, dirty-entry cap, sync-before-resume recovery.
-//   MuFtl     — flash PVB + battery.
-//   IbFtl     — page-validity log, dirty-entry cap.
+//            validity store      dirty-entry recovery
+//   GeckoFtl Logarithmic Gecko   checkpoint-bounded lazy scan (GeckoRec)
+//   DftlFtl  RAM PVB             battery
+//   LazyFtl  RAM PVB             dirty cap + sync-before-resume
+//   MuFtl    flash PVB           battery
+//   IbFtl    page-validity log   dirty cap + sync-before-resume
 
 #ifndef GECKOFTL_FTL_BASE_FTL_H_
 #define GECKOFTL_FTL_BASE_FTL_H_
@@ -111,49 +112,25 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   const HotnessEstimator& hotness() const { return hotness_; }
 
  protected:
-  /// The page-validity store, owned by the subclass.
-  virtual PageValidityStore* pvm() = 0;
-
   /// Store-specific RAM bytes beyond the common structures.
-  virtual uint64_t PvmRamBytes() const { return pvm_const()->RamBytes(); }
-  const PageValidityStore* pvm_const() const {
-    return const_cast<BaseFtl*>(this)->pvm();
-  }
+  virtual uint64_t PvmRamBytes() const { return store_->RamBytes(); }
 
-  // --- Hooks for subclass recovery and GC behaviour ---------------------
+  // --- Hooks for FTL-level recovery work a store cannot do --------------
 
-  /// Called on power failure while "residual" power is available: battery
-  /// FTLs synchronize all dirty entries here (charged to kOther so WA
-  /// experiments are unaffected).
-  virtual void OnPowerFailing();
+  /// Called once the store has rebuilt itself from flash, before the BVC
+  /// is counted from it: GeckoFTL re-derives its buffer (Appendix C.2),
+  /// DFTL charges the battery read-back of its RAM PVB.
+  virtual void OnStoreRecovered(RecoveryReport* report) { (void)report; }
 
-  /// Wipes + rebuilds the page-validity store and, for GeckoFTL, the
-  /// Gecko buffer. Invoked between GMD recovery and BVC reconstruction.
-  virtual void RecoverPvm(RecoveryReport* report) = 0;
-
-  /// Rebuilds bvc_ once the store is recovered.
-  virtual void RecoverBvc(RecoveryReport* report) = 0;
-
-  /// Recovers dirty cached mapping entries (GeckoRec steps 6-7 or the
-  /// baselines' scan-and-sync).
-  virtual void RecoverDirtyEntries(RecoveryReport* report);
-
-  /// Called once recovery is complete, before normal operation resumes.
-  /// GeckoFTL persists the buffer content recovery re-derived (erase
-  /// records, re-identified invalidations): without this, a second power
-  /// failure before the next natural flush would lose that knowledge
-  /// again, and the re-derivation conditions would no longer hold
-  /// (DESIGN.md §3, repeated-crash idempotency).
+  /// Called once dirty entries are recovered, before normal operation
+  /// resumes: GeckoFTL persists what its buffer recovery re-derived,
+  /// LazyFTL rebuilds its RAM PVB and the BVC from the translation table.
   virtual void OnRecoveryComplete(RecoveryReport* report) { (void)report; }
-
-  /// Migrates one live page of a PVM metadata block during greedy GC.
-  /// Baselines with flash-resident validity stores override this.
-  virtual void MigratePvmPage(PhysicalAddress addr);
 
   /// Subclass hook invoked after a translation page is replaced; GeckoFTL
   /// pins the block holding the previous version (Appendix C.2.2).
-  virtual void OnTranslationPageReplaced(TPageId tpage,
-                                         PhysicalAddress old_addr);
+  virtual void OnTranslationPageReplaced(TPageId /*tpage*/,
+                                         PhysicalAddress /*old_addr*/) {}
 
   /// Flushes store-specific volatile state (kFlush); GeckoFTL flushes the
   /// Logarithmic Gecko buffer and releases translation-diff pins.
@@ -332,9 +309,6 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   void NoteCacheOp();
   void EnforceDirtyCap();
 
-  /// Common recovery steps.
-  std::vector<BlockManager::BidEntry> BuildBid(RecoveryReport* report);
-  void RecoverGmdStep(RecoveryReport* report);
   /// Backward spare-area scan over user blocks (newest first): recreates
   /// up to C mapping entries, bounded by 2*`scan_bound` spare reads.
   /// When `report_duplicates` is set, older versions of already-seen lpns
@@ -348,8 +322,6 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// Erases fully-dead, non-active metadata blocks left over after
   /// recovery (only under the auto-erase metadata policy).
   void SweepDeadMetadataBlocks();
-  /// Synchronizes every dirty entry now (LazyFTL/IB-FTL recovery tail).
-  void SyncAllDirty(RecoveryReport* report);
 
   /// Write-temperature class for a fresh host write/trim of `lpn`
   /// (records the op in the estimator first). Always 0 with one class.
@@ -358,6 +330,8 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   FlashDevice* device_;
   FtlConfig config_;
   BlockManager blocks_;
+  /// The page-validity store, built by the subclass on blocks_.
+  std::unique_ptr<PageValidityStore> store_;
   TranslationTable translation_;
   MappingCache cache_;
   /// Update-recency/frequency sketch behind ClassifyWrite (RAM-only;

@@ -1,21 +1,40 @@
 #include "ftl/baseline_ftls.h"
 
+#include <memory>
+
+#include "pvm/flash_pvb.h"
+#include "pvm/pvl.h"
+#include "pvm/ram_pvb.h"
+
 namespace gecko {
+
+namespace {
+
+/// Every baseline identifies before-images immediately and runs greedy GC
+/// over all blocks. Without a battery, dirty entries are capped at 10% of
+/// the cache (Section 5.3) and checkpointed at the cap.
+FtlConfig BaselineConfig(uint32_t cache_capacity, bool battery) {
+  FtlConfig c;
+  c.cache_capacity = cache_capacity;
+  c.battery = battery;
+  if (!battery) {
+    c.dirty_fraction_cap = 0.1;
+    c.checkpoint_period = static_cast<uint32_t>(cache_capacity * 0.1);
+    if (c.checkpoint_period == 0) c.checkpoint_period = 1;
+  }
+  c.gc_policy = GcPolicy::kGreedyAll;
+  c.invalidation = InvalidationMode::kImmediate;
+  return c;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // DFTL: RAM PVB + battery.
 // ---------------------------------------------------------------------------
 
 FtlConfig DftlFtl::DefaultConfig(uint32_t cache_capacity) {
-  FtlConfig c;
-  c.cache_capacity = cache_capacity;
-  c.battery = true;
-  c.dirty_fraction_cap = 0.0;
-  c.checkpoint_period = 0;
-  c.gc_policy = GcPolicy::kGreedyAll;
-  c.invalidation = InvalidationMode::kImmediate;
-  c.EnableMaintenanceLadder();
-  return c;
+  return BaselineConfig(cache_capacity, /*battery=*/true);
 }
 
 DftlFtl::DftlFtl(FlashDevice* device, const FtlConfig& config)
@@ -23,7 +42,7 @@ DftlFtl::DftlFtl(FlashDevice* device, const FtlConfig& config)
   store_ = std::make_unique<RamPvb>(device->geometry());
 }
 
-void DftlFtl::RecoverPvm(RecoveryReport* report) {
+void DftlFtl::OnStoreRecovered(RecoveryReport* report) {
   // The battery copied the RAM PVB to flash before power ran out
   // (Section 5.3); recovery reads it back: B*K/8 bytes = B*K/(8*P) pages.
   // This copy lives outside the simulated address space, so only the
@@ -33,37 +52,12 @@ void DftlFtl::RecoverPvm(RecoveryReport* report) {
   step.page_reads = (g.TotalPages() / 8 + g.page_bytes - 1) / g.page_bytes;
 }
 
-void DftlFtl::RecoverBvc(RecoveryReport* report) {
-  // The PVB is RAM-resident: counting bits costs no flash IO.
-  report->Add("BVC (from RAM PVB)");
-  for (BlockId b = 0; b < device_->geometry().num_blocks; ++b) {
-    if (blocks_.BlockType(b) == PageType::kUser) {
-      bvc_[b] = static_cast<uint32_t>(store_->QueryInvalidPages(b).Count());
-    }
-  }
-}
-
-void DftlFtl::RecoverDirtyEntries(RecoveryReport* report) {
-  // The battery synchronized every dirty entry before power ran out;
-  // there is nothing to recover (Figure 13's "battery" mark).
-  report->Add("dirty mapping entries (battery)");
-}
-
 // ---------------------------------------------------------------------------
 // LazyFTL: RAM PVB, dirty cap, sync-before-resume.
 // ---------------------------------------------------------------------------
 
 FtlConfig LazyFtl::DefaultConfig(uint32_t cache_capacity) {
-  FtlConfig c;
-  c.cache_capacity = cache_capacity;
-  c.battery = false;
-  c.dirty_fraction_cap = 0.1;  // Section 5.3: dirty entries capped at 10% C
-  c.checkpoint_period = static_cast<uint32_t>(cache_capacity * 0.1);
-  if (c.checkpoint_period == 0) c.checkpoint_period = 1;
-  c.gc_policy = GcPolicy::kGreedyAll;
-  c.invalidation = InvalidationMode::kImmediate;
-  c.EnableMaintenanceLadder();
-  return c;
+  return BaselineConfig(cache_capacity, /*battery=*/false);
 }
 
 LazyFtl::LazyFtl(FlashDevice* device, const FtlConfig& config)
@@ -71,31 +65,11 @@ LazyFtl::LazyFtl(FlashDevice* device, const FtlConfig& config)
   store_ = std::make_unique<RamPvb>(device->geometry());
 }
 
-void LazyFtl::RecoverPvm(RecoveryReport* report) {
-  // The PVB is rebuilt *after* the recovered dirty entries are
-  // synchronized (so the translation table is current); see
-  // RecoverDirtyEntries below.
-  store_->ResetRamState();
-  (void)report;
-}
-
-void LazyFtl::RecoverBvc(RecoveryReport*) {}
-
-void LazyFtl::RecoverDirtyEntries(RecoveryReport* report) {
-  // LazyFTL bounds dirty entries at runtime and pays for synchronizing
-  // them before normal operation resumes — the recovery-time vs
-  // write-amplification contention GeckoFTL removes (Section 4.3).
-  BackwardScanRecoverEntries(config_.checkpoint_period, /*mark_uip=*/false,
-                             /*mark_uncertain=*/true,
-                             /*report_duplicates=*/false, report);
-  SyncAllDirty(report);
-  RebuildPvbFromTranslationTable(report);
-}
-
-void LazyFtl::RebuildPvbFromTranslationTable(RecoveryReport* report) {
-  // Scan all translation pages (TT/P page reads, the paper's LazyFTL
-  // recovery bottleneck): pages referenced by the table are live, every
-  // other written user page is invalid.
+void LazyFtl::OnRecoveryComplete(RecoveryReport* report) {
+  // Runs after the recovered dirty entries are synchronized, so the
+  // translation table is current. Scans all translation pages (TT/P page
+  // reads, the paper's LazyFTL recovery bottleneck): pages referenced by
+  // the table are live, every other written user page is invalid.
   const Geometry& g = device_->geometry();
   RecoveryStep& step = report->Add("PVB rebuild (translation-table scan)");
   std::vector<Bitmap> live(g.num_blocks);
@@ -128,21 +102,12 @@ void LazyFtl::RebuildPvbFromTranslationTable(RecoveryReport* report) {
 // ---------------------------------------------------------------------------
 
 FtlConfig MuFtl::DefaultConfig(uint32_t cache_capacity) {
-  FtlConfig c;
-  c.cache_capacity = cache_capacity;
-  c.battery = true;
-  c.dirty_fraction_cap = 0.0;
-  c.checkpoint_period = 0;
-  c.gc_policy = GcPolicy::kGreedyAll;
-  c.invalidation = InvalidationMode::kImmediate;
-  c.EnableMaintenanceLadder();
-  return c;
+  return BaselineConfig(cache_capacity, /*battery=*/true);
 }
 
 MuFtl::MuFtl(FlashDevice* device, const FtlConfig& config)
     : BaseFtl(device, config) {
-  store_ =
-      std::make_unique<FlashPvb>(device->geometry(), device, &blocks_);
+  store_ = std::make_unique<FlashPvb>(device->geometry(), device, &blocks_);
 }
 
 uint64_t MuFtl::PvmRamBytes() const {
@@ -154,87 +119,22 @@ uint64_t MuFtl::PvmRamBytes() const {
   return store > gmd ? store - gmd : 0;
 }
 
-void MuFtl::RecoverPvm(RecoveryReport* report) {
-  store_->ResetRamState();
-  FlashPvb::RecoveryInfo info =
-      store_->Recover(blocks_.BlocksOfType(PageType::kPvm));
-  RecoveryStep& step = report->Add("PVB chunk directory (spare scan)");
-  step.spare_reads = info.spare_reads;
-  blocks_.RecoverMetadataLiveCounts(info.live_pages);
-}
-
-void MuFtl::RecoverBvc(RecoveryReport* report) {
-  RecoveryStep& step = report->Add("BVC (read PVB chunks)");
-  IoCounters before = device_->stats().Snapshot();
-  std::vector<uint32_t> counts =
-      store_->ReadAllInvalidCounts(IoPurpose::kRecovery);
-  step.page_reads = (device_->stats().Snapshot() - before).TotalReads();
-  for (BlockId b = 0; b < counts.size(); ++b) {
-    if (blocks_.BlockType(b) == PageType::kUser) bvc_[b] = counts[b];
-  }
-}
-
-void MuFtl::RecoverDirtyEntries(RecoveryReport* report) {
-  report->Add("dirty mapping entries (battery)");
-}
-
-void MuFtl::MigratePvmPage(PhysicalAddress addr) {
-  if (store_->RelocateIfCurrent(addr)) ++counters_.gc_migrations;
-}
-
 // ---------------------------------------------------------------------------
 // IB-FTL: page-validity log, dirty cap.
 // ---------------------------------------------------------------------------
 
 FtlConfig IbFtl::DefaultConfig(uint32_t cache_capacity) {
-  FtlConfig c;
-  c.cache_capacity = cache_capacity;
-  c.battery = false;
-  c.dirty_fraction_cap = 0.1;
-  c.checkpoint_period = static_cast<uint32_t>(cache_capacity * 0.1);
-  if (c.checkpoint_period == 0) c.checkpoint_period = 1;
-  c.gc_policy = GcPolicy::kGreedyAll;
-  c.invalidation = InvalidationMode::kImmediate;
+  FtlConfig c = BaselineConfig(cache_capacity, /*battery=*/false);
   // The log buffer can lose records across power failure, so GC validates
   // uncached victim pages against the translation table (DESIGN.md §3).
   c.gc_validate_against_translation_table = true;
-  c.EnableMaintenanceLadder();
   return c;
 }
 
 IbFtl::IbFtl(FlashDevice* device, const FtlConfig& config)
     : BaseFtl(device, config) {
-  store_ = std::make_unique<PageValidityLog>(device->geometry(), device,
-                                             &blocks_);
-}
-
-void IbFtl::RecoverPvm(RecoveryReport* report) {
-  store_->ResetRamState();
-  PageValidityLog::RecoveryInfo info =
-      store_->Recover(blocks_.BlocksOfType(PageType::kPvm));
-  RecoveryStep& step = report->Add("PVL chain heads (full log scan)");
-  step.spare_reads = info.spare_reads;
-  step.page_reads = info.page_reads;
-  blocks_.RecoverMetadataLiveCounts(info.live_pages);
-}
-
-void IbFtl::RecoverBvc(RecoveryReport* report) {
-  report->Add("BVC (from log scan)");
-  std::vector<uint32_t> counts = store_->ComputeInvalidCountsFree();
-  for (BlockId b = 0; b < counts.size(); ++b) {
-    if (blocks_.BlockType(b) == PageType::kUser) bvc_[b] = counts[b];
-  }
-}
-
-void IbFtl::RecoverDirtyEntries(RecoveryReport* report) {
-  BackwardScanRecoverEntries(config_.checkpoint_period, /*mark_uip=*/false,
-                             /*mark_uncertain=*/true,
-                             /*report_duplicates=*/false, report);
-  SyncAllDirty(report);
-}
-
-void IbFtl::MigratePvmPage(PhysicalAddress addr) {
-  if (store_->RelocateIfLive(addr)) ++counters_.gc_migrations;
+  store_ =
+      std::make_unique<PageValidityLog>(device->geometry(), device, &blocks_);
 }
 
 }  // namespace gecko

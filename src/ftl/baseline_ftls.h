@@ -20,12 +20,7 @@
 #ifndef GECKOFTL_FTL_BASELINE_FTLS_H_
 #define GECKOFTL_FTL_BASELINE_FTLS_H_
 
-#include <memory>
-
 #include "ftl/base_ftl.h"
-#include "pvm/flash_pvb.h"
-#include "pvm/pvl.h"
-#include "pvm/ram_pvb.h"
 
 namespace gecko {
 
@@ -37,12 +32,8 @@ class DftlFtl : public BaseFtl {
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
  protected:
-  PageValidityStore* pvm() override { return store_.get(); }
-  void RecoverPvm(RecoveryReport* report) override;
-  void RecoverBvc(RecoveryReport* report) override;
-  void RecoverDirtyEntries(RecoveryReport* report) override;
-
-  std::unique_ptr<RamPvb> store_;
+  /// Charges reading back the battery's copy of the RAM PVB.
+  void OnStoreRecovered(RecoveryReport* report) override;
 };
 
 /// LazyFTL [26]: RAM-resident PVB, no battery; dirty entries capped at 10%
@@ -54,17 +45,9 @@ class LazyFtl : public BaseFtl {
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
  protected:
-  PageValidityStore* pvm() override { return store_.get(); }
-  void RecoverPvm(RecoveryReport* report) override;
-  void RecoverBvc(RecoveryReport* report) override;
-  void RecoverDirtyEntries(RecoveryReport* report) override;
-
- private:
-  /// Rebuilds the RAM PVB by scanning every translation page: written
-  /// pages not referenced by the table (or cache) are invalid.
-  void RebuildPvbFromTranslationTable(RecoveryReport* report);
-
-  std::unique_ptr<RamPvb> store_;
+  /// Rebuilds the RAM PVB (and the BVC) by scanning every translation
+  /// page: written pages not referenced by the table are invalid.
+  void OnRecoveryComplete(RecoveryReport* report) override;
 };
 
 /// µ-FTL [24]: flash-resident PVB, battery-backed dirty-entry recovery.
@@ -75,17 +58,9 @@ class MuFtl : public BaseFtl {
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
  protected:
-  PageValidityStore* pvm() override { return store_.get(); }
-  void RecoverPvm(RecoveryReport* report) override;
-  void RecoverBvc(RecoveryReport* report) override;
-  void RecoverDirtyEntries(RecoveryReport* report) override;
-  void MigratePvmPage(PhysicalAddress addr) override;
   /// µ-FTL's B-tree keeps only the root resident: the GMD term is dropped
   /// from the RAM model (DESIGN.md §3).
   uint64_t PvmRamBytes() const override;
-
- private:
-  std::unique_ptr<FlashPvb> store_;
 };
 
 /// IB-FTL [18]: flash-resident page-validity log with RAM chain heads;
@@ -95,17 +70,6 @@ class IbFtl : public BaseFtl {
   IbFtl(FlashDevice* device, const FtlConfig& config);
   const char* Name() const override { return "IB-FTL"; }
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
-  PageValidityLog& pvl() { return *store_; }
-
- protected:
-  PageValidityStore* pvm() override { return store_.get(); }
-  void RecoverPvm(RecoveryReport* report) override;
-  void RecoverBvc(RecoveryReport* report) override;
-  void RecoverDirtyEntries(RecoveryReport* report) override;
-  void MigratePvmPage(PhysicalAddress addr) override;
-
- private:
-  std::unique_ptr<PageValidityLog> store_;
 };
 
 }  // namespace gecko

@@ -10,6 +10,7 @@
 #ifndef GECKOFTL_FTL_FTL_H_
 #define GECKOFTL_FTL_FTL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -19,7 +20,7 @@
 
 #include "flash/types.h"
 #include "ftl/io_request.h"
-#include "ftl/recovery_report.h"
+#include "pvm/recovery_report.h"
 #include "util/status.h"
 
 namespace gecko {
@@ -63,7 +64,54 @@ struct FtlCounters {
   uint64_t remapped_programs = 0;  // failed programs re-placed transparently
   uint64_t grown_bad_blocks = 0;   // blocks retired since the device shipped
   uint64_t degraded_mode = 0;      // 1 while the FTL is in read-only mode
+
+  /// Folds another instance's counters into these (shard aggregation).
+  void Merge(const FtlCounters& other);
 };
+
+/// Every FtlCounters field once, in declaration order: its name and how
+/// instances merge it. Printers, aggregators and tests iterate this list,
+/// so no field can go missing from any of them.
+struct FtlCounterField {
+  const char* name;
+  uint64_t FtlCounters::*member;
+  bool merges_as_max;  // a per-instance flag (else counts add)
+};
+inline constexpr FtlCounterField kFtlCounterFields[] = {
+    {"writes", &FtlCounters::writes, false},
+    {"reads", &FtlCounters::reads, false},
+    {"trims", &FtlCounters::trims, false},
+    {"flushes", &FtlCounters::flushes, false},
+    {"batches", &FtlCounters::batches, false},
+    {"batched_pages", &FtlCounters::batched_pages, false},
+    {"sync_ops", &FtlCounters::sync_ops, false},
+    {"aborted_sync_ops", &FtlCounters::aborted_sync_ops, false},
+    {"checkpoints", &FtlCounters::checkpoints, false},
+    {"gc_collections", &FtlCounters::gc_collections, false},
+    {"gc_migrations", &FtlCounters::gc_migrations, false},
+    {"gc_demotions", &FtlCounters::gc_demotions, false},
+    {"gc_force_skips", &FtlCounters::gc_force_skips, false},
+    {"uip_detections", &FtlCounters::uip_detections, false},
+    {"cache_hits", &FtlCounters::cache_hits, false},
+    {"cache_misses", &FtlCounters::cache_misses, false},
+    {"miss_fetches", &FtlCounters::miss_fetches, false},
+    {"miss_joins", &FtlCounters::miss_joins, false},
+    {"remapped_programs", &FtlCounters::remapped_programs, false},
+    {"grown_bad_blocks", &FtlCounters::grown_bad_blocks, false},
+    {"degraded_mode", &FtlCounters::degraded_mode, true},
+};
+static_assert(sizeof(kFtlCounterFields) / sizeof(kFtlCounterFields[0]) *
+                      sizeof(uint64_t) ==
+                  sizeof(FtlCounters),
+              "every FtlCounters field needs a kFtlCounterFields entry");
+
+inline void FtlCounters::Merge(const FtlCounters& other) {
+  for (const FtlCounterField& f : kFtlCounterFields) {
+    uint64_t& mine = this->*f.member;
+    const uint64_t theirs = other.*f.member;
+    mine = f.merges_as_max ? std::max(mine, theirs) : mine + theirs;
+  }
+}
 
 /// Device-time timeline of one completed async request, delivered to its
 /// completion callback alongside the per-extent result.

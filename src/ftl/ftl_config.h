@@ -35,6 +35,12 @@ enum class InvalidationMode : uint8_t {
   kLazyUip,
 };
 
+/// Emergency floor: when the free-block pool drops below this many blocks,
+/// collection runs to completion inline before the write proceeds (the
+/// stop-the-world backstop; the watermarks below keep the pool away from
+/// it).
+inline constexpr uint32_t kGcFreeBlockFloor = 5;
+
 /// Tuning of the maintenance scheduler (ftl/maintenance_scheduler.h).
 ///
 /// The free pool is governed by three levels:
@@ -46,21 +52,15 @@ enum class InvalidationMode : uint8_t {
 /// user writes additionally pay bounded GC steps through write-credit
 /// throttling — incremental work proportional to the deficit, instead of
 /// a stop-the-world whole-block collection. The emergency floor
-/// (FtlConfig::gc_free_block_threshold) keeps the legacy run-to-completion
-/// behaviour as the backstop that makes pool exhaustion impossible.
+/// (kGcFreeBlockFloor) keeps the legacy run-to-completion behaviour as the
+/// backstop that makes pool exhaustion impossible. A hard watermark at the
+/// floor empties the throttle band: pure stop-the-world foreground GC.
 struct MaintenanceConfig {
-  /// Enables the incremental state machine on the write path. When false
-  /// every collection is the legacy inline stop-the-world loop.
-  bool incremental = true;
-
-  /// Foreground throttling engages below this pool size. 0 derives the
-  /// emergency floor itself, leaving the throttle band empty (legacy
-  /// write-path behaviour).
-  uint32_t hard_watermark = 0;
+  /// Foreground throttling engages below this pool size.
+  uint32_t hard_watermark = kGcFreeBlockFloor + 3;
 
   /// Background collection (IdleTick) engages below this pool size.
-  /// 0 derives hard watermark + 4.
-  uint32_t soft_watermark = 0;
+  uint32_t soft_watermark = kGcFreeBlockFloor + 7;
 
   /// Live-page migrations one GC step performs at most.
   uint32_t migrations_per_step = 8;
@@ -111,19 +111,8 @@ struct FtlConfig {
   GcPolicy gc_policy = GcPolicy::kNeverCollectMetadata;
   InvalidationMode invalidation = InvalidationMode::kLazyUip;
 
-  /// Emergency floor: when the free-block pool drops below this many
-  /// blocks, collection runs to completion inline before the write
-  /// proceeds (the stop-the-world backstop; the watermarks below keep the
-  /// pool away from it).
-  uint32_t gc_free_block_threshold = 5;
-
   /// Maintenance plane (ftl/maintenance_scheduler.h): watermarks and step
   /// budgets for incremental background/throttled-foreground collection.
-  /// The raw defaults leave the throttle band empty — the classic
-  /// inline-GC write path exactly — while a derived soft watermark of
-  /// floor + 4 lets hosts that do call Ftl::IdleTick() get modest
-  /// background collection; hosts that never tick see no change. The
-  /// five DefaultConfigs enable the full ladder (EnableMaintenanceLadder).
   MaintenanceConfig maintenance;
 
   /// Whether GC validates not-in-cache victim pages against the flash
@@ -169,17 +158,6 @@ struct FtlConfig {
 
   /// Logarithmic Gecko tuning (GeckoFTL only).
   LogGeckoConfig gecko;
-
-  /// Enables the full maintenance ladder with default margins: write-credit
-  /// throttled foreground GC below floor + 3 free blocks, background
-  /// (idle-tick) collection below floor + 7. All five DefaultConfigs call
-  /// this; set maintenance.hard_watermark = gc_free_block_threshold (or 0)
-  /// to fall back to pure stop-the-world foreground GC.
-  void EnableMaintenanceLadder() {
-    maintenance.incremental = true;
-    maintenance.hard_watermark = gc_free_block_threshold + 3;
-    maintenance.soft_watermark = maintenance.hard_watermark + 4;
-  }
 
   uint32_t DirtyCap() const {
     if (dirty_fraction_cap <= 0.0) return 0;

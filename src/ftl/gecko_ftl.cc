@@ -1,5 +1,9 @@
 #include "ftl/gecko_ftl.h"
 
+#include <memory>
+
+#include "pvm/gecko_store.h"
+
 namespace gecko {
 
 FtlConfig GeckoFtl::DefaultConfig(uint32_t cache_capacity) {
@@ -10,14 +14,15 @@ FtlConfig GeckoFtl::DefaultConfig(uint32_t cache_capacity) {
   c.battery = false;
   c.gc_policy = GcPolicy::kNeverCollectMetadata;
   c.invalidation = InvalidationMode::kLazyUip;
-  c.EnableMaintenanceLadder();
   return c;
 }
 
 GeckoFtl::GeckoFtl(FlashDevice* device, const FtlConfig& config)
     : BaseFtl(device, config) {
-  store_ = std::make_unique<GeckoStore>(device->geometry(), config.gecko,
-                                        device, &blocks_);
+  auto store = std::make_unique<GeckoStore>(device->geometry(), config.gecko,
+                                            device, &blocks_);
+  gecko_ = &store->gecko();
+  store_ = std::move(store);
 }
 
 void GeckoFtl::OnTranslationPageReplaced(TPageId, PhysicalAddress old_addr) {
@@ -26,40 +31,25 @@ void GeckoFtl::OnTranslationPageReplaced(TPageId, PhysicalAddress old_addr) {
   // recovery can diff against it. Pin its block until the buffer flushes
   // past this point; stale pins are released as the durable horizon moves.
   uint64_t now = device_->CurrentSeq();
-  blocks_.UnpinThrough(store_->gecko().DurableSeq());
+  blocks_.UnpinThrough(gecko_->DurableSeq());
   if (blocks_.NumPinned() >= config_.max_pinned_metadata_blocks) {
     // Syncs are outrunning buffer flushes (GC-heavy, report-poor phases);
     // left unchecked, pinned translation blocks would consume the device.
     // Flushing the buffer advances the durable horizon, making the older
     // versions unnecessary for recovery, so their pins can drop.
-    store_->gecko().Flush();
-    blocks_.UnpinThrough(store_->gecko().DurableSeq());
+    gecko_->Flush();
+    blocks_.UnpinThrough(gecko_->DurableSeq());
   }
   blocks_.Pin(old_addr.block, now);
 }
 
 void GeckoFtl::FlushMetadata() {
-  store_->gecko().Flush();
-  blocks_.UnpinThrough(store_->gecko().DurableSeq());
+  gecko_->Flush();
+  blocks_.UnpinThrough(gecko_->DurableSeq());
 }
 
-void GeckoFtl::RecoverPvm(RecoveryReport* report) {
-  // Step 3: run directories (Appendix C.1).
-  store_->gecko().ResetRamState();
-  LogGeckoRecoveryInfo info =
-      store_->gecko().Recover(blocks_.BlocksOfType(PageType::kPvm));
-  RecoveryStep& step3 = report->Add("Gecko run directories");
-  step3.spare_reads = info.spare_reads;
-  step3.page_reads = info.page_reads;
-  blocks_.RecoverMetadataLiveCounts(info.live_pages);
-
-  // Step 4: the buffer (Appendix C.2).
-  RecoverBufferErases(report);
-  RecoverBufferInvalidations(report);
-}
-
-void GeckoFtl::RecoverBufferErases(RecoveryReport* report) {
-  // Appendix C.2.1: any block that is free, or whose first page was
+void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
+  // Step 4a, Appendix C.2.1: any block that is free, or whose first page was
   // written after the durable horizon, was erased after the last flush;
   // its erase record may have died with the buffer. Re-inserting an erase
   // record is idempotent, so over-approximation is safe.
@@ -70,29 +60,26 @@ void GeckoFtl::RecoverBufferErases(RecoveryReport* report) {
   // user-era validity bits would resurrect and destroy live data once the
   // block cycles back to user duty. Erase records for metadata block ids
   // are harmless — they are only consulted when the block next serves as
-  // a GC victim.
-  RecoveryStep& step = report->Add("Gecko buffer (erased blocks)");
-  uint64_t durable = store_->gecko().DurableSeq();
+  // a GC victim. Erase re-insertion is buffer work only; no IO beyond
+  // possible flushes, which the device stats attribute to kPvm as in
+  // normal operation.
+  report->Add("Gecko buffer (erased blocks)");
+  uint64_t durable = gecko_->DurableSeq();
   for (BlockId b = 0; b < last_bid_.size(); ++b) {
     const BlockManager::BidEntry& e = last_bid_[b];
     if (e.type == PageType::kFree || e.first_seq > durable) {
-      store_->gecko().RecordErase(b);
+      gecko_->RecordErase(b);
     }
   }
-  // Erase re-insertion is buffer work only; no IO beyond possible flushes,
-  // which the device stats attribute to kPvm as in normal operation.
-  (void)step;
-}
 
-void GeckoFtl::RecoverBufferInvalidations(RecoveryReport* report) {
-  // Appendix C.2.2: invalidations reported during synchronization
+  // Step 4b, Appendix C.2.2: invalidations reported during synchronization
   // operations since the last flush were lost with the buffer. Find
   // translation pages updated after the durable horizon, diff each
   // against its previous version, and re-report mappings that changed —
   // verifying via the spare area that the old page still holds the stale
   // logical page (it may have been erased and rewritten).
   RecoveryStep& step = report->Add("Gecko buffer (translation diff)");
-  uint64_t durable = store_->gecko().DurableSeq();
+  durable = gecko_->DurableSeq();  // the erase records may have flushed
   for (TPageId t = 0; t < recovered_versions_.size(); ++t) {
     const TranslationTable::TPageVersions& v = recovered_versions_[t];
     if (!v.current.IsValid() || v.current_seq <= durable) continue;
@@ -128,7 +115,7 @@ void GeckoFtl::RecoverBufferInvalidations(RecoveryReport* report) {
         // invalid — the hazard class of Appendix C.3.2.
         if (r.written && r.spare.IsUser() && r.spare.key == lpn &&
             r.spare.seq < v.versions[i].seq) {
-          #ifdef GECKO_DEBUG_GC_GROUND_TRUTH
+#ifdef GECKO_DEBUG_GC_GROUND_TRUTH
           DebugCheckNotAuthoritative(old, "tdiff");
 #endif
           ReportInvalid(old);
@@ -147,34 +134,11 @@ void GeckoFtl::OnRecoveryComplete(RecoveryReport* report) {
   // mark live pages invalid. A flush costs a handful of page writes.
   RecoveryStep& step = report->Add("flush re-derived Gecko buffer");
   IoCounters before = device_->stats().Snapshot();
-  store_->gecko().Flush();
-  blocks_.UnpinThrough(store_->gecko().DurableSeq());
+  gecko_->Flush();
+  blocks_.UnpinThrough(gecko_->DurableSeq());
   IoCounters delta = device_->stats().Snapshot() - before;
   step.page_writes = delta.TotalWrites();
   step.page_reads = delta.TotalReads();
-}
-
-void GeckoFtl::MigratePvmPage(PhysicalAddress addr) {
-  // Only reachable under GcPolicy::kGreedyAll (the Section 4.2 ablation):
-  // the default policy never selects metadata blocks as victims.
-  if (store_->gecko().storage().RelocatePage(addr)) {
-    ++counters_.gc_migrations;
-  }
-}
-
-void GeckoFtl::RecoverBvc(RecoveryReport* report) {
-  // GeckoRec step 5: rebuild the BVC by scanning Logarithmic Gecko.
-  RecoveryStep& step = report->Add("BVC (scan Logarithmic Gecko)");
-  IoCounters before = device_->stats().Snapshot();
-  std::vector<uint32_t> counts = store_->gecko().ReconstructInvalidCounts();
-  IoCounters delta = device_->stats().Snapshot() - before;
-  step.page_reads = delta.TotalReads();
-  const uint32_t b = device_->geometry().pages_per_block;
-  for (BlockId block = 0; block < counts.size(); ++block) {
-    if (blocks_.BlockType(block) == PageType::kUser) {
-      bvc_[block] = counts[block] > b ? b : counts[block];
-    }
-  }
 }
 
 }  // namespace gecko

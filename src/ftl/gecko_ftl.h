@@ -13,10 +13,8 @@
 #ifndef GECKOFTL_FTL_GECKO_FTL_H_
 #define GECKOFTL_FTL_GECKO_FTL_H_
 
-#include <memory>
-
+#include "core/log_gecko.h"
 #include "ftl/base_ftl.h"
-#include "pvm/gecko_store.h"
 
 namespace gecko {
 
@@ -25,7 +23,7 @@ class GeckoFtl : public BaseFtl {
   GeckoFtl(FlashDevice* device, const FtlConfig& config);
 
   const char* Name() const override { return "GeckoFTL"; }
-  LogGecko& gecko() { return store_->gecko(); }
+  LogGecko& gecko() { return *gecko_; }
 
   /// The GeckoFTL default configuration: lazy UIP identification,
   /// metadata-aware GC, checkpoints every C cache operations, no battery,
@@ -33,28 +31,18 @@ class GeckoFtl : public BaseFtl {
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
  protected:
-  PageValidityStore* pvm() override { return store_.get(); }
-  void RecoverPvm(RecoveryReport* report) override;
-  void RecoverBvc(RecoveryReport* report) override;
+  /// GeckoRec step 4: the buffer (Appendix C.2).
+  void OnStoreRecovered(RecoveryReport* report) override;
   void OnRecoveryComplete(RecoveryReport* report) override;
   void OnTranslationPageReplaced(TPageId tpage,
                                  PhysicalAddress old_addr) override;
   /// kFlush: the Gecko buffer is the FTL's remaining volatile state; a
   /// flush advances the durable horizon and releases translation-diff pins.
   void FlushMetadata() override;
-  /// Supports greedy-GC ablations: relocates a live Gecko run page.
-  void MigratePvmPage(PhysicalAddress addr) override;
 
  private:
-  /// GeckoRec step 4a (Appendix C.2.1): re-insert erase records for blocks
-  /// erased after the last durable buffer flush.
-  void RecoverBufferErases(RecoveryReport* report);
-  /// GeckoRec step 4b (Appendix C.2.2): re-identify invalidations reported
-  /// during synchronization operations since the last flush by diffing
-  /// current translation pages against their previous versions.
-  void RecoverBufferInvalidations(RecoveryReport* report);
-
-  std::unique_ptr<GeckoStore> store_;
+  /// The Logarithmic Gecko inside store_.
+  LogGecko* gecko_;
 };
 
 }  // namespace gecko

@@ -17,20 +17,14 @@ MaintenanceScheduler::MaintenanceScheduler(MaintenanceHost* host,
     : host_(host),
       config_(config.maintenance),
       checkpoint_period_(config.checkpoint_period),
-      floor_(config.gc_free_block_threshold) {
-  // The ladder is clamped, not checked: DefaultConfig bakes absolute
-  // watermarks, and a caller that then raises the floor
-  // (gc_free_block_threshold) must not abort — the band below the new
-  // floor simply collapses into the emergency backstop.
-  hard_ = config_.hard_watermark != 0 ? config_.hard_watermark : floor_;
-  if (hard_ < floor_) hard_ = floor_;
-  soft_ = config_.soft_watermark != 0 ? config_.soft_watermark : hard_ + 4;
-  if (soft_ < hard_) soft_ = hard_;
+      floor_(kGcFreeBlockFloor),
+      hard_(std::max(config_.hard_watermark, floor_)),
+      soft_(std::max(config_.soft_watermark, hard_)) {
   if (config_.migrations_per_step == 0) config_.migrations_per_step = 1;
 }
 
 void MaintenanceScheduler::BeforeUserWrite() {
-  if (config_.incremental && hard_ > floor_ && host_->FreeBlocks() < hard_ &&
+  if (hard_ > floor_ && host_->FreeBlocks() < hard_ &&
       host_->FreeBlocks() >= floor_) {
     // Write-credit throttling: the deficit below the hard watermark earns
     // credits, and each credit funds one bounded GC step — work grows
@@ -110,17 +104,15 @@ bool MaintenanceScheduler::OnCacheOp() {
 uint64_t MaintenanceScheduler::IdleTick() {
   ++stats_.idle_ticks;
   uint64_t steps = 0;
-  if (config_.incremental) {
-    for (uint32_t i = 0; i < config_.steps_per_tick; ++i) {
-      // Collect while the pool is short; always finish a collection that
-      // is already mid-flight (completing it is what frees the block).
-      if (host_->FreeBlocks() >= soft_ && !host_->GcInFlight()) break;
-      GcStepOutcome o = host_->GcStep(config_.migrations_per_step);
-      if (!o.advanced) break;
-      ++stats_.background_steps;
-      ++steps;
-      if (o.erased) ++stats_.collections_completed;
-    }
+  for (uint32_t i = 0; i < config_.steps_per_tick; ++i) {
+    // Collect while the pool is short; always finish a collection that is
+    // already mid-flight (completing it is what frees the block).
+    if (host_->FreeBlocks() >= soft_ && !host_->GcInFlight()) break;
+    GcStepOutcome o = host_->GcStep(config_.migrations_per_step);
+    if (!o.advanced) break;
+    ++stats_.background_steps;
+    ++steps;
+    if (o.erased) ++stats_.collections_completed;
   }
   // Early checkpoint: once at least half the cadence has elapsed, take
   // the next checkpoint here instead of letting it ride (and stall) a
@@ -128,7 +120,7 @@ uint64_t MaintenanceScheduler::IdleTick() {
   // recovery scan must cover, so the Section 4.3 bound is preserved; the
   // on-write cadence in OnCacheOp stays as the backstop for idle-poor
   // workloads.
-  if (config_.incremental && checkpoint_period_ > 0 &&
+  if (checkpoint_period_ > 0 &&
       cache_ops_since_checkpoint_ >=
           std::max<uint64_t>(1, checkpoint_period_ / 2)) {
     cache_ops_since_checkpoint_ = 0;

@@ -107,14 +107,15 @@ struct MaintenanceStats {
 
 class MaintenanceScheduler {
  public:
-  /// Derives the watermark ladder from `config` (see MaintenanceConfig).
+  /// Takes the watermark ladder from `config` (see MaintenanceConfig),
+  /// clamped so that soft >= hard >= the emergency floor.
   MaintenanceScheduler(MaintenanceHost* host, const FtlConfig& config);
 
   /// GC admission on the user write path, called before a data-page
   /// allocation: throttled incremental steps below the hard watermark,
-  /// the run-to-completion backstop below the emergency floor. With the
-  /// default config (empty throttle band) this is behaviourally identical
-  /// to the classic inline EnsureFreeSpace.
+  /// the run-to-completion backstop below the emergency floor. With an
+  /// empty throttle band (hard watermark at the floor) this is
+  /// behaviourally identical to the classic inline EnsureFreeSpace.
   void BeforeUserWrite();
 
   /// Periodic-work feed after a user data write: advances the wear

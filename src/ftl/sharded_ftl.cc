@@ -391,29 +391,7 @@ uint64_t ShardedFtl::IdleTick() {
 const FtlCounters& ShardedFtl::counters() const {
   merged_counters_ = FtlCounters();
   for (const auto& shard : shards_) {
-    const FtlCounters& c = shard->ftl->counters();
-    merged_counters_.writes += c.writes;
-    merged_counters_.reads += c.reads;
-    merged_counters_.trims += c.trims;
-    merged_counters_.flushes += c.flushes;
-    merged_counters_.batches += c.batches;
-    merged_counters_.batched_pages += c.batched_pages;
-    merged_counters_.sync_ops += c.sync_ops;
-    merged_counters_.aborted_sync_ops += c.aborted_sync_ops;
-    merged_counters_.checkpoints += c.checkpoints;
-    merged_counters_.gc_collections += c.gc_collections;
-    merged_counters_.gc_migrations += c.gc_migrations;
-    merged_counters_.gc_demotions += c.gc_demotions;
-    merged_counters_.gc_force_skips += c.gc_force_skips;
-    merged_counters_.uip_detections += c.uip_detections;
-    merged_counters_.cache_hits += c.cache_hits;
-    merged_counters_.cache_misses += c.cache_misses;
-    merged_counters_.miss_fetches += c.miss_fetches;
-    merged_counters_.miss_joins += c.miss_joins;
-    merged_counters_.remapped_programs += c.remapped_programs;
-    merged_counters_.grown_bad_blocks += c.grown_bad_blocks;
-    // Degraded is an any-shard condition, not a sum.
-    merged_counters_.degraded_mode |= c.degraded_mode;
+    merged_counters_.Merge(shard->ftl->counters());
   }
   return merged_counters_;
 }
@@ -429,14 +407,6 @@ bool ShardedFtl::IsDegraded() const {
 }
 
 const char* ShardedFtl::Name() const { return name_.c_str(); }
-
-AggregateIoView ShardedFtl::Aggregate() const {
-  AggregateIoView view;
-  for (const auto& shard : shards_) {
-    view.Absorb(shard->device->stats());
-  }
-  return view;
-}
 
 ShardedFtlStats ShardedFtl::stats() const {
   ShardedFtlStats s;

@@ -41,17 +41,17 @@
 //                     queued sub between the flag and the kCrash
 //                     message aborts exactly once with kAborted.
 //   Stats           — per-shard counters/IoStats are only written by
-//   aggregation       their worker; counters(), RamBytes() and
-//                     Aggregate() are valid only at quiescence (no
-//                     request in flight: DrainAsync's return or a sync
-//                     Submit's return happens-after all worker writes).
+//   aggregation       their worker; counters() and RamBytes() are
+//                     valid only at quiescence (no request in flight:
+//                     DrainAsync's return or a sync Submit's return
+//                     happens-after all worker writes).
 //
 // Deviations from the single-threaded Ftl contract (documented, tested):
 //   - Completion callbacks fire on WORKER threads, not from Poll();
 //     Poll() just reports how many fired since the last Poll().
 //   - Each shard's device clock advances independently; aggregate
 //     elapsed time is the max across shards (the slowest shard's
-//     timeline), reported via Aggregate().
+//     timeline).
 //
 // With num_shards == 1 the router is the identity map, the single shard
 // owns the whole device, and every request executes exactly as the
@@ -207,10 +207,6 @@ class ShardedFtl : public Ftl {
   const FlashDevice& shard_device(uint32_t s) const {
     return *shards_[s]->device;
   }
-
-  /// Merged device view: op counts add, elapsed time is the max across
-  /// shards, latency histograms merge.
-  AggregateIoView Aggregate() const;
 
   /// Front-end counters snapshot.
   ShardedFtlStats stats() const;

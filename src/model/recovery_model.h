@@ -14,7 +14,7 @@
 
 #include "flash/geometry.h"
 #include "flash/latency.h"
-#include "ftl/recovery_report.h"
+#include "pvm/recovery_report.h"
 #include "model/ram_model.h"
 
 namespace gecko {

@@ -95,7 +95,7 @@ Bitmap FlashPvb::QueryInvalidPages(BlockId block) {
   return chunk_bits_[c].ExtractChunk(base, geometry_.pages_per_block);
 }
 
-bool FlashPvb::RelocateIfCurrent(PhysicalAddress addr) {
+bool FlashPvb::RelocatePage(PhysicalAddress addr) {
   for (uint32_t c = 0; c < chunk_locations_.size(); ++c) {
     if (chunk_locations_[c] == addr) {
       // Rewrite the chunk verbatim at a fresh location.
@@ -106,11 +106,13 @@ bool FlashPvb::RelocateIfCurrent(PhysicalAddress addr) {
   return false;
 }
 
-std::vector<uint32_t> FlashPvb::ReadAllInvalidCounts(IoPurpose purpose) {
+std::vector<uint32_t> FlashPvb::InvalidCounts(RecoveryReport* report) {
+  RecoveryStep& step = report->Add("BVC (read PVB chunks)");
+  IoCounters before = device_->stats().Snapshot();
   std::vector<uint32_t> counts(geometry_.num_blocks, 0);
   for (uint32_t c = 0; c < chunk_locations_.size(); ++c) {
     if (!chunk_locations_[c].IsValid()) continue;
-    device_->ReadPage(chunk_locations_[c], purpose);
+    device_->ReadPage(chunk_locations_[c], IoPurpose::kRecovery);
     BlockId first = c * blocks_per_chunk_;
     for (uint32_t i = 0; i < blocks_per_chunk_; ++i) {
       BlockId block = first + i;
@@ -122,6 +124,7 @@ std::vector<uint32_t> FlashPvb::ReadAllInvalidCounts(IoPurpose purpose) {
               .Count());
     }
   }
+  step.page_reads = (device_->stats().Snapshot() - before).TotalReads();
   return counts;
 }
 
@@ -129,9 +132,9 @@ void FlashPvb::ResetRamState() {
   for (auto& loc : chunk_locations_) loc = kNullAddress;
 }
 
-FlashPvb::RecoveryInfo FlashPvb::Recover(
-    const std::vector<BlockId>& pvm_blocks) {
-  RecoveryInfo info;
+StoreRecovery FlashPvb::Recover(const std::vector<BlockId>& pvm_blocks,
+                                RecoveryReport* report) {
+  StoreRecovery info;
   // Newest version of each chunk wins (chunk pages are updated out of
   // place, like translation pages).
   std::unordered_map<uint32_t, uint64_t> newest_seq;
@@ -154,6 +157,8 @@ FlashPvb::RecoveryInfo FlashPvb::Recover(
   for (const PhysicalAddress& loc : chunk_locations_) {
     if (loc.IsValid()) info.live_pages.push_back(loc);
   }
+  report->Add("PVB chunk directory (spare scan)").spare_reads =
+      info.spare_reads;
   return info;
 }
 

@@ -42,26 +42,16 @@ class FlashPvb : public PageValidityStore {
     return static_cast<uint32_t>(chunk_locations_.size());
   }
 
-  /// If `addr` holds the current version of some chunk, rewrites that
-  /// chunk elsewhere (read + write) and retires `addr`. Used when greedy
-  /// GC collects a PVM block. Returns whether a migration happened.
-  bool RelocateIfCurrent(PhysicalAddress addr);
-
-  /// Per-block invalid counts, reading every chunk page (one charged read
-  /// each). Used to rebuild the BVC after power failure.
-  std::vector<uint32_t> ReadAllInvalidCounts(IoPurpose purpose);
-
-  /// Power failure: the directory is lost; chunk contents persist.
-  void ResetRamState();
-
-  /// Rebuilds the chunk directory by scanning the spare areas of the given
-  /// PVM blocks for the newest version of each chunk (one spare read per
-  /// written page). Returns live chunk pages for allocator recovery.
-  struct RecoveryInfo {
-    uint64_t spare_reads = 0;
-    std::vector<PhysicalAddress> live_pages;
-  };
-  RecoveryInfo Recover(const std::vector<BlockId>& pvm_blocks);
+  void ResetRamState() override;  // the directory; chunk contents persist
+  /// Rebuilds the chunk directory by scanning the spare areas of the PVM
+  /// blocks for the newest version of each chunk (one spare read per
+  /// written page).
+  StoreRecovery Recover(const std::vector<BlockId>& pvm_blocks,
+                        RecoveryReport* report) override;
+  /// Reads every chunk page (one charged read each).
+  std::vector<uint32_t> InvalidCounts(RecoveryReport* report) override;
+  /// Relocates `addr` if it holds the current version of some chunk.
+  bool RelocatePage(PhysicalAddress addr) override;
 
  private:
   struct ChunkRef {

@@ -4,7 +4,9 @@
 // (Section 5.3): a RAM-resident PVB (DFTL/LazyFTL), a flash-resident PVB
 // (µ-FTL), IB-FTL's page-validity log, and Logarithmic Gecko (adapted in
 // gecko_store.h). FTLs and the Section 5.1/5.2 experiments program against
-// this interface; recovery is store-specific and handled by each FTL.
+// this interface, crash recovery included: each store drops and rebuilds
+// its own RAM state, counts invalid pages for the BVC, and relocates its
+// live flash pages when greedy GC collects one of its blocks.
 
 #ifndef GECKOFTL_PVM_PAGE_VALIDITY_STORE_H_
 #define GECKOFTL_PVM_PAGE_VALIDITY_STORE_H_
@@ -13,9 +15,22 @@
 #include <vector>
 
 #include "flash/types.h"
+#include "pvm/recovery_report.h"
 #include "util/bitmap.h"
 
 namespace gecko {
+
+/// What a store's crash recovery found on flash.
+struct StoreRecovery {
+  uint64_t spare_reads = 0;
+  uint64_t page_reads = 0;
+  /// The store's live flash pages (the allocator rebuilds its metadata
+  /// live counts from them).
+  std::vector<PhysicalAddress> live_pages;
+  /// False for a store with no flash copy of its RAM state (the RAM PVB):
+  /// it comes back only if a battery saved it.
+  bool in_flash = true;
+};
 
 /// Tracks which physical pages of user blocks are invalid.
 class PageValidityStore {
@@ -46,6 +61,25 @@ class PageValidityStore {
   virtual uint64_t RamBytes() const = 0;
 
   virtual const char* Name() const = 0;
+
+  // --- Crash recovery ---------------------------------------------------
+
+  /// Power failure: drops the RAM state; flash content persists.
+  virtual void ResetRamState() = 0;
+
+  /// Rebuilds the RAM state from the store's own flash blocks
+  /// (`pvm_blocks`), adding the store's step to `report`.
+  virtual StoreRecovery Recover(const std::vector<BlockId>& pvm_blocks,
+                                RecoveryReport* report) = 0;
+
+  /// Per-block invalid-page counts for the BVC, once Recover has run,
+  /// adding the store's step to `report`.
+  virtual std::vector<uint32_t> InvalidCounts(RecoveryReport* report) = 0;
+
+  /// Greedy GC of a metadata block: if `addr` holds a live page of this
+  /// store, rewrites it elsewhere (read + write), retires `addr` and
+  /// returns true.
+  virtual bool RelocatePage(PhysicalAddress addr) = 0;
 };
 
 }  // namespace gecko

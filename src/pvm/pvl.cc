@@ -1,7 +1,6 @@
 #include "pvm/pvl.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace gecko {
 
@@ -27,21 +26,10 @@ void PageValidityLog::BufferRecord(PhysicalAddress addr, uint64_t timestamp) {
   r.invalidated = addr;
   r.timestamp = timestamp;
   Head& head = heads_[addr.block];
-  if (head.in_buffer) {
-    r.prev = buffer_[head.buffer_index].prev.IsValid()
-                 ? buffer_[head.buffer_index].prev
-                 : RecordRef{};
-    // Chain through the buffered record's eventual log position: since
-    // buffered records of the same block flush to the same log page in
-    // order, pointing at the older record's flush slot is handled at
-    // flush time; here we link to the previous buffered record by its
-    // future position, which FlushBuffer fixes up. To keep the model
-    // simple we instead link buffered records among themselves by index.
-    r.prev = RecordRef{};  // fixed up in FlushBuffer
-  } else {
-    r.prev = head.log_ref;
-  }
-  // Remember the in-buffer predecessor for flush-time chain fix-up.
+  // A buffered predecessor is linked by its buffer index below, and
+  // FlushBuffer turns that into its log position; otherwise the chain
+  // continues at the head's log record.
+  r.prev = head.in_buffer ? RecordRef{} : head.log_ref;
   uint32_t index = static_cast<uint32_t>(buffer_.size());
   buffer_.push_back(r);
   if (head.in_buffer) {
@@ -130,12 +118,10 @@ void PageValidityLog::RecordErase(BlockId block) {
   GECKO_CHECK_LT(block, geometry_.num_blocks);
   // Erase needs no log record: the RAM-resident erase timestamp makes all
   // older records for the block obsolete, and the chain head is cut.
+  // Buffered records for the block stay; the timestamp check filters
+  // them.
   last_erase_seq_[block] = Tick();
   Head& head = heads_[block];
-  if (head.in_buffer) {
-    // Buffered records for this block are now obsolete; leave them (they
-    // will be filtered by the timestamp check) but drop the head.
-  }
   head.in_buffer = false;
   head.log_ref = RecordRef{};
 }
@@ -200,7 +186,7 @@ Bitmap PageValidityLog::QueryInvalidPages(BlockId block) {
   return out;
 }
 
-bool PageValidityLog::RelocateIfLive(PhysicalAddress addr) {
+bool PageValidityLog::RelocatePage(PhysicalAddress addr) {
   for (LogPage& page : log_pages_) {
     if (page.addr == addr) {
       device_->ReadPage(addr, IoPurpose::kPvm);
@@ -219,9 +205,9 @@ bool PageValidityLog::RelocateIfLive(PhysicalAddress addr) {
   return false;
 }
 
-std::vector<uint32_t> PageValidityLog::ComputeInvalidCountsFree() const {
-  // Derived from the records the recovery scan already read: count unique
-  // invalid pages per block, filtering obsolete records.
+std::vector<uint32_t> PageValidityLog::InvalidCounts(RecoveryReport* report) {
+  // Count unique invalid pages per block, filtering obsolete records.
+  report->Add("BVC (from log scan)");
   std::vector<Bitmap> bits(geometry_.num_blocks);
   for (auto& b : bits) b = Bitmap(geometry_.pages_per_block);
   for (const LogPage& page : log_pages_) {
@@ -249,16 +235,14 @@ void PageValidityLog::ResetRamState() {
   buffer_.clear();
 }
 
-PageValidityLog::RecoveryInfo PageValidityLog::Recover(
-    const std::vector<BlockId>& pvm_blocks) {
-  RecoveryInfo info;
+StoreRecovery PageValidityLog::Recover(const std::vector<BlockId>& pvm_blocks,
+                                       RecoveryReport* report) {
+  StoreRecovery info;
   // Locate live log pages by spare scan, then read the whole log (the
   // recovery bottleneck the paper attributes to IB-FTL) to rebuild the
   // chain heads. Erase timestamps are recovered from the block spare
   // areas by the owning FTL; stand-alone recovery approximates them with
   // the device's last-erase bookkeeping.
-  std::unordered_set<uint64_t> live_ids;
-  for (const LogPage& page : log_pages_) live_ids.insert(page.id);
   for (BlockId block : pvm_blocks) {
     for (uint32_t p = 0; p < geometry_.pages_per_block; ++p) {
       PageReadResult r =
@@ -293,6 +277,9 @@ PageValidityLog::RecoveryInfo PageValidityLog::Recover(
     last_erase_seq_[b] = (device_->LastEraseSeq(b) + 1) * kTickStride;
     if (last_erase_seq_[b] > clock_) clock_ = last_erase_seq_[b];
   }
+  RecoveryStep& step = report->Add("PVL chain heads (full log scan)");
+  step.spare_reads = info.spare_reads;
+  step.page_reads = info.page_reads;
   return info;
 }
 

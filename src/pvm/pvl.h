@@ -48,24 +48,17 @@ class PageValidityLog : public PageValidityStore {
   uint64_t LogPages() const { return log_pages_.size(); }
   uint64_t MaxRecords() const { return max_records_; }
 
-  /// If `addr` holds a live log page, rewrites it elsewhere (read + write)
-  /// and retires `addr`. Chain references use page ids, so they survive
-  /// relocation. Returns whether a migration happened.
-  bool RelocateIfLive(PhysicalAddress addr);
-
-  /// Per-block invalid counts derived from the records already read by the
-  /// last Recover() pass (no additional IO).
-  std::vector<uint32_t> ComputeInvalidCountsFree() const;
-
+  /// Chain heads, erase timestamps and the buffer; the log persists.
+  void ResetRamState() override;
   /// Recovery requires scanning the entire log (the paper's point about
   /// IB-FTL's recovery bottleneck): one page read per live log page.
-  struct RecoveryInfo {
-    uint64_t spare_reads = 0;
-    uint64_t page_reads = 0;
-    std::vector<PhysicalAddress> live_pages;
-  };
-  void ResetRamState();
-  RecoveryInfo Recover(const std::vector<BlockId>& pvm_blocks);
+  StoreRecovery Recover(const std::vector<BlockId>& pvm_blocks,
+                        RecoveryReport* report) override;
+  /// Derived from the records the recovery scan already read (no IO).
+  std::vector<uint32_t> InvalidCounts(RecoveryReport* report) override;
+  /// Relocates `addr` if it holds a live log page. Chain references use
+  /// page ids, so they survive relocation.
+  bool RelocatePage(PhysicalAddress addr) override;
 
  private:
   /// Position of a record in the log: which log page, which slot.

@@ -37,10 +37,28 @@ class RamPvb : public PageValidityStore {
   const char* Name() const override { return "ram-pvb"; }
 
   /// Power failure wipes the bitmap; the owning FTL rebuilds it (by
-  /// translation-table scan, or for free when a battery is assumed).
-  void ResetRamState() {
+  /// translation-table scan), or a battery saves it.
+  void ResetRamState() override {
     for (auto& b : bits_) b.Reset();
   }
+
+  /// No flash blocks to rebuild from.
+  StoreRecovery Recover(const std::vector<BlockId>&,
+                        RecoveryReport*) override {
+    return StoreRecovery{0, 0, {}, /*in_flash=*/false};
+  }
+
+  /// Counting bits costs no flash IO.
+  std::vector<uint32_t> InvalidCounts(RecoveryReport* report) override {
+    report->Add("BVC (from RAM PVB)");
+    std::vector<uint32_t> counts;
+    for (const Bitmap& b : bits_) {
+      counts.push_back(static_cast<uint32_t>(b.Count()));
+    }
+    return counts;
+  }
+
+  bool RelocatePage(PhysicalAddress) override { return false; }
 
  private:
   Geometry geometry_;

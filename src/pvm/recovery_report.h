@@ -1,7 +1,7 @@
 // Per-step accounting of a power-failure recovery (Appendix C).
 
-#ifndef GECKOFTL_FTL_RECOVERY_REPORT_H_
-#define GECKOFTL_FTL_RECOVERY_REPORT_H_
+#ifndef GECKOFTL_PVM_RECOVERY_REPORT_H_
+#define GECKOFTL_PVM_RECOVERY_REPORT_H_
 
 #include <cstdint>
 #include <string>
@@ -59,4 +59,4 @@ struct RecoveryReport {
 
 }  // namespace gecko
 
-#endif  // GECKOFTL_FTL_RECOVERY_REPORT_H_
+#endif  // GECKOFTL_PVM_RECOVERY_REPORT_H_

@@ -113,9 +113,6 @@ struct WorkloadSpec {
   static WorkloadSpec Uniform(uint64_t num_lpns) {
     return {Kind::kUniform, num_lpns, 0.99, 0.1, 0.9};
   }
-  static WorkloadSpec Sequential(uint64_t num_lpns) {
-    return {Kind::kSequential, num_lpns, 0.99, 0.1, 0.9};
-  }
   static WorkloadSpec Zipf(uint64_t num_lpns, double theta) {
     return {Kind::kZipf, num_lpns, theta, 0.1, 0.9};
   }

@@ -1,11 +1,14 @@
-// Crash-recovery tests for Logarithmic Gecko in isolation (Appendix C.1).
-// Buffer recovery (Appendix C.2) is FTL-level and is tested with GeckoFTL;
-// here the harness replays non-durable operations itself, as the FTL would.
+// Crash-recovery tests for Logarithmic Gecko in isolation (Appendix C.1),
+// driven through the page-validity store's recovery operations as an FTL
+// drives them. Buffer recovery (Appendix C.2) is FTL-level and is tested
+// with GeckoFTL; here the harness replays non-durable operations itself,
+// as the FTL would.
 
 #include <gtest/gtest.h>
 
 #include "core/log_gecko.h"
 #include "flash/simple_allocator.h"
+#include "pvm/gecko_store.h"
 #include "util/random.h"
 
 namespace gecko {
@@ -26,8 +29,9 @@ struct Harness {
   Harness() : device(SmallGeometry()) {
     allocator = std::make_unique<SimpleAllocator>(
         &device, kUserBlocks, SmallGeometry().num_blocks - kUserBlocks);
-    gecko = std::make_unique<LogGecko>(SmallGeometry(), LogGeckoConfig{},
-                                       &device, allocator.get());
+    store = std::make_unique<GeckoStore>(SmallGeometry(), LogGeckoConfig{},
+                                         &device, allocator.get());
+    gecko = &store->gecko();
   }
 
   std::vector<BlockId> PvmBlocks() { return allocator->NonFreeBlocks(); }
@@ -36,22 +40,23 @@ struct Harness {
     // Power failure: volatile halves reset; flash (device + run storage)
     // persists. The allocator's RAM bookkeeping is rebuilt from the live
     // pages the Gecko recovery reports.
-    gecko->ResetRamState();
-    LogGeckoRecoveryInfo info = gecko->Recover(PvmBlocks());
-    allocator->RecoverRamState(info.live_pages);
-    last_info = info;
+    store->ResetRamState();
+    RecoveryReport report;
+    last_info = store->Recover(PvmBlocks(), &report);
+    allocator->RecoverRamState(last_info.live_pages);
   }
 
   FlashDevice device;
   std::unique_ptr<SimpleAllocator> allocator;
-  std::unique_ptr<LogGecko> gecko;
-  LogGeckoRecoveryInfo last_info;
+  std::unique_ptr<GeckoStore> store;
+  LogGecko* gecko = nullptr;
+  StoreRecovery last_info;
 };
 
 TEST(LogGeckoRecoveryTest, EmptyStructureRecoversToEmpty) {
   Harness h;
   h.Crash();
-  EXPECT_EQ(h.last_info.live_runs, 0u);
+  EXPECT_EQ(h.gecko->NumLiveRuns(), 0u);
   EXPECT_EQ(h.gecko->QueryInvalidPages(3).Count(), 0u);
 }
 
@@ -61,7 +66,7 @@ TEST(LogGeckoRecoveryTest, FlushedContentSurvivesCrash) {
   h.gecko->RecordInvalidPage({7, 1});
   h.gecko->Flush();
   h.Crash();
-  EXPECT_GE(h.last_info.live_runs, 1u);
+  EXPECT_GE(h.gecko->NumLiveRuns(), 1u);
   EXPECT_TRUE(h.gecko->QueryInvalidPages(3).Test(5));
   EXPECT_TRUE(h.gecko->QueryInvalidPages(7).Test(1));
 }
@@ -163,7 +168,7 @@ TEST(LogGeckoRecoveryTest, RecoveryCostsAreReported) {
   // One preamble per complete run candidate (ordering check) plus one
   // postamble per live run; with no lingering dead runs the candidates
   // are exactly the live runs.
-  EXPECT_EQ(h.last_info.page_reads, 2u * h.last_info.live_runs);
+  EXPECT_EQ(h.last_info.page_reads, 2u * h.gecko->NumLiveRuns());
 }
 
 }  // namespace

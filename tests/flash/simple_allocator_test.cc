@@ -97,36 +97,6 @@ TEST(SimpleAllocatorTest, RecoverRebuildsLiveCounts) {
   EXPECT_GE(p.block, 4u);
 }
 
-TEST(SimpleAllocatorTest, TempClassesUseSeparateActiveBlocks) {
-  FlashDevice dev(SmallGeometry());
-  SimpleAllocator alloc(&dev, 0, 8);
-  alloc.ConfigureTempClasses(2);
-  PhysicalAddress hot = alloc.AllocatePage(PageType::kPvm, kNoStream, 0);
-  PhysicalAddress cold = alloc.AllocatePage(PageType::kPvm, kNoStream, 1);
-  // Each class appends into its own active block; streams never mix.
-  EXPECT_NE(hot.block, cold.block);
-  PhysicalAddress hot2 = alloc.AllocatePage(PageType::kPvm, kNoStream, 0);
-  EXPECT_EQ(hot2.block, hot.block);
-  EXPECT_EQ(hot2.page, hot.page + 1);
-  PhysicalAddress cold2 = alloc.AllocatePage(PageType::kPvm, kNoStream, 1);
-  EXPECT_EQ(cold2.block, cold.block);
-  EXPECT_EQ(cold2.page, cold.page + 1);
-}
-
-TEST(SimpleAllocatorTest, SingleClassDefaultMatchesLegacyLayout) {
-  FlashDevice dev(SmallGeometry());
-  SimpleAllocator legacy(&dev, 0, 4);
-  FlashDevice dev2(SmallGeometry());
-  SimpleAllocator configured(&dev2, 0, 4);
-  configured.ConfigureTempClasses(1);
-  for (int i = 0; i < 6; ++i) {
-    PhysicalAddress a = legacy.AllocatePage(PageType::kPvm);
-    PhysicalAddress b = configured.AllocatePage(PageType::kPvm);
-    EXPECT_EQ(a.block, b.block) << "alloc " << i;
-    EXPECT_EQ(a.page, b.page) << "alloc " << i;
-  }
-}
-
 TEST(SimpleAllocatorTest, NonFreeBlocksListsWrittenOnly) {
   FlashDevice dev(SmallGeometry());
   SimpleAllocator alloc(&dev, 4, 4);

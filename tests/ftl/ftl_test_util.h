@@ -1,5 +1,5 @@
-// Shared helpers for FTL-level tests: a factory over all five FTLs and a
-// shadow-map harness that verifies end-to-end data integrity.
+// Shared helpers for FTL-level tests: the FTL factory with a config tweak
+// and a shadow-map harness that verifies end-to-end data integrity.
 
 #ifndef GECKOFTL_TESTS_FTL_FTL_TEST_UTIL_H_
 #define GECKOFTL_TESTS_FTL_FTL_TEST_UTIL_H_
@@ -16,6 +16,7 @@
 
 #include "flash/flash_device.h"
 #include "ftl/baseline_ftls.h"
+#include "ftl/ftl_factory.h"
 #include "ftl/gecko_ftl.h"
 #include "sim/ftl_experiment.h"
 
@@ -86,44 +87,15 @@ inline uint64_t FuzzSeed(uint64_t default_seed) {
 /// maintenance overrides in the scheduler tests).
 using ConfigTweak = std::function<void(FtlConfig&)>;
 
-template <typename FtlT>
-std::unique_ptr<Ftl> MakeFtlWithTweak(FlashDevice* device,
-                                      uint32_t cache_capacity,
-                                      const ConfigTweak& tweak) {
-  FtlConfig config = FtlT::DefaultConfig(cache_capacity);
-  if (tweak) tweak(config);
-  return std::make_unique<FtlT>(device, config);
-}
-
 /// Builds any of the five FTLs by name, applying `tweak` to its default
 /// config first.
 inline std::unique_ptr<Ftl> MakeFtl(const std::string& name,
                                     FlashDevice* device,
                                     uint32_t cache_capacity,
-                                    const ConfigTweak& tweak) {
-  if (name == "GeckoFTL") {
-    return MakeFtlWithTweak<GeckoFtl>(device, cache_capacity, tweak);
-  }
-  if (name == "DFTL") {
-    return MakeFtlWithTweak<DftlFtl>(device, cache_capacity, tweak);
-  }
-  if (name == "LazyFTL") {
-    return MakeFtlWithTweak<LazyFtl>(device, cache_capacity, tweak);
-  }
-  if (name == "uFTL") {
-    return MakeFtlWithTweak<MuFtl>(device, cache_capacity, tweak);
-  }
-  if (name == "IB-FTL") {
-    return MakeFtlWithTweak<IbFtl>(device, cache_capacity, tweak);
-  }
-  ADD_FAILURE() << "unknown FTL " << name;
-  return nullptr;
-}
-
-inline std::unique_ptr<Ftl> MakeFtl(const std::string& name,
-                                    FlashDevice* device,
-                                    uint32_t cache_capacity) {
-  return MakeFtl(name, device, cache_capacity, ConfigTweak());
+                                    const ConfigTweak& tweak = ConfigTweak()) {
+  FtlConfig config = DefaultFtlConfig(name, cache_capacity);
+  if (tweak) tweak(config);
+  return MakeFtl(name, device, config);
 }
 
 /// Shadow-map harness: every write is mirrored into a host map; Verify()

@@ -16,12 +16,9 @@
 namespace gecko {
 namespace {
 
-/// Ladder with a real throttle band and small step budgets so collections
-/// stay observable mid-flight across many IdleTick calls.
+/// The default ladder (a real throttle band) with small step budgets so
+/// collections stay observable mid-flight across many IdleTick calls.
 void IncrementalTweak(FtlConfig& c) {
-  c.maintenance.incremental = true;
-  c.maintenance.hard_watermark = c.gc_free_block_threshold + 3;
-  c.maintenance.soft_watermark = c.maintenance.hard_watermark + 4;
   c.maintenance.migrations_per_step = 2;
   c.maintenance.steps_per_tick = 1;
 }

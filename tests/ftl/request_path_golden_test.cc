@@ -67,27 +67,7 @@ std::string Dump(const Ftl& ftl, const FlashDevice& device) {
     if (value != 0) os << name << '=' << value << ' ';
   };
   const FtlCounters& c = ftl.counters();
-  field("writes", c.writes);
-  field("reads", c.reads);
-  field("trims", c.trims);
-  field("flushes", c.flushes);
-  field("batches", c.batches);
-  field("batched_pages", c.batched_pages);
-  field("sync_ops", c.sync_ops);
-  field("aborted_sync_ops", c.aborted_sync_ops);
-  field("checkpoints", c.checkpoints);
-  field("gc_collections", c.gc_collections);
-  field("gc_migrations", c.gc_migrations);
-  field("gc_demotions", c.gc_demotions);
-  field("gc_force_skips", c.gc_force_skips);
-  field("uip_detections", c.uip_detections);
-  field("cache_hits", c.cache_hits);
-  field("cache_misses", c.cache_misses);
-  field("miss_fetches", c.miss_fetches);
-  field("miss_joins", c.miss_joins);
-  field("remapped_programs", c.remapped_programs);
-  field("grown_bad_blocks", c.grown_bad_blocks);
-  field("degraded_mode", c.degraded_mode);
+  for (const FtlCounterField& f : kFtlCounterFields) field(f.name, c.*f.member);
   const IoCounters& io = device.stats().counters();
   for (int p = 0; p < kNumIoPurposes; ++p) {
     const std::string purpose = IoPurposeName(static_cast<IoPurpose>(p));

@@ -108,9 +108,8 @@ TEST_P(WatermarkFuzzTest, FreePoolNeverExhaustsAndThrottlingEngagesFirst) {
   const uint64_t seed = FuzzSeed(303);
   GECKO_TRACE_FUZZ_SEED(seed);
   FlashDevice device(FtlTestGeometry(GetParam()));
+  // The default watermark ladder: floor + 3 (throttle), floor + 7.
   auto ftl = MakeFtl("GeckoFTL", &device, 96, [](FtlConfig& c) {
-    c.maintenance.hard_watermark = c.gc_free_block_threshold + 3;
-    c.maintenance.soft_watermark = c.maintenance.hard_watermark + 4;
     c.maintenance.migrations_per_step = 4;
   });
   auto* base = dynamic_cast<BaseFtl*>(ftl.get());

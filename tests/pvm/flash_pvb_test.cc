@@ -75,9 +75,13 @@ TEST_F(FlashPvbTest, RecoverRebuildsDirectory) {
   pvb_.RecordInvalidPage({7, 9});
   pvb_.ResetRamState();
   // Before recovery the directory is gone; queries would see nothing.
-  FlashPvb::RecoveryInfo info = pvb_.Recover(allocator_.NonFreeBlocks());
+  RecoveryReport report;
+  StoreRecovery info = pvb_.Recover(allocator_.NonFreeBlocks(), &report);
   EXPECT_GT(info.spare_reads, 0u);
   EXPECT_FALSE(info.live_pages.empty());
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].name, "PVB chunk directory (spare scan)");
+  EXPECT_EQ(report.steps[0].spare_reads, info.spare_reads);
   EXPECT_TRUE(pvb_.QueryInvalidPages(0).Test(3));
   EXPECT_TRUE(pvb_.QueryInvalidPages(7).Test(9));
 }
@@ -87,29 +91,34 @@ TEST_F(FlashPvbTest, RecoverFindsNewestVersion) {
   pvb_.RecordInvalidPage({0, 2});
   pvb_.RecordInvalidPage({0, 3});
   pvb_.ResetRamState();
-  pvb_.Recover(allocator_.NonFreeBlocks());
+  RecoveryReport report;
+  pvb_.Recover(allocator_.NonFreeBlocks(), &report);
   Bitmap b = pvb_.QueryInvalidPages(0);
   EXPECT_EQ(b.Count(), 3u);  // the newest version has all three bits
 }
 
-TEST_F(FlashPvbTest, RelocateIfCurrentMovesChunk) {
+TEST_F(FlashPvbTest, RelocatePageMovesCurrentChunk) {
   pvb_.RecordInvalidPage({0, 1});
   // Find the chunk's current location via recovery info.
   pvb_.ResetRamState();
-  FlashPvb::RecoveryInfo info = pvb_.Recover(allocator_.NonFreeBlocks());
+  RecoveryReport report;
+  StoreRecovery info = pvb_.Recover(allocator_.NonFreeBlocks(), &report);
   ASSERT_EQ(info.live_pages.size(), 1u);
   PhysicalAddress old = info.live_pages[0];
-  EXPECT_TRUE(pvb_.RelocateIfCurrent(old));
-  EXPECT_FALSE(pvb_.RelocateIfCurrent(old));  // no longer current
+  EXPECT_TRUE(pvb_.RelocatePage(old));
+  EXPECT_FALSE(pvb_.RelocatePage(old));  // no longer current
   EXPECT_TRUE(pvb_.QueryInvalidPages(0).Test(1));
 }
 
-TEST_F(FlashPvbTest, ReadAllInvalidCountsMatchesQueries) {
+TEST_F(FlashPvbTest, InvalidCountsMatchQueries) {
   pvb_.RecordInvalidPage({0, 1});
   pvb_.RecordInvalidPage({0, 5});
   pvb_.RecordInvalidPage({9, 2});
-  std::vector<uint32_t> counts =
-      pvb_.ReadAllInvalidCounts(IoPurpose::kRecovery);
+  RecoveryReport report;
+  std::vector<uint32_t> counts = pvb_.InvalidCounts(&report);
+  // One chunk page holds all 48 blocks: one charged read.
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].page_reads, 1u);
   EXPECT_EQ(counts[0], 2u);
   EXPECT_EQ(counts[9], 1u);
   EXPECT_EQ(counts[3], 0u);

@@ -106,9 +106,11 @@ TEST_F(PvlTest, RecoverRebuildsChainHeads) {
   while (pvl_.LogRecords() < 32) pvl_.RecordInvalidPage({9, 0});
   std::vector<Bitmap> expect;
   pvl_.ResetRamState();
-  PageValidityLog::RecoveryInfo info =
-      pvl_.Recover(allocator_.NonFreeBlocks());
+  RecoveryReport report;
+  StoreRecovery info = pvl_.Recover(allocator_.NonFreeBlocks(), &report);
   EXPECT_GT(info.page_reads, 0u);  // the whole log is scanned
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_EQ(report.steps[0].page_reads, info.page_reads);
   // Flushed records are visible again.
   uint32_t total = 0;
   for (BlockId b = 0; b < 10; ++b) {
@@ -117,27 +119,29 @@ TEST_F(PvlTest, RecoverRebuildsChainHeads) {
   EXPECT_GE(total, 32u);
 }
 
-TEST_F(PvlTest, RelocateIfLiveMovesLogPage) {
+TEST_F(PvlTest, RelocatePageMovesLiveLogPage) {
   for (uint32_t i = 0; i < 16; ++i) pvl_.RecordInvalidPage({3, i});
   ASSERT_EQ(pvl_.LogPages(), 1u);
   pvl_.ResetRamState();
-  PageValidityLog::RecoveryInfo info =
-      pvl_.Recover(allocator_.NonFreeBlocks());
+  RecoveryReport report;
+  StoreRecovery info = pvl_.Recover(allocator_.NonFreeBlocks(), &report);
   ASSERT_EQ(info.live_pages.size(), 1u);
   PhysicalAddress old = info.live_pages[0];
-  EXPECT_TRUE(pvl_.RelocateIfLive(old));
-  EXPECT_FALSE(pvl_.RelocateIfLive(old));
+  EXPECT_TRUE(pvl_.RelocatePage(old));
+  EXPECT_FALSE(pvl_.RelocatePage(old));
   // Chain ids survive relocation.
   EXPECT_EQ(pvl_.QueryInvalidPages(3).Count(), 16u);
 }
 
-TEST_F(PvlTest, ComputeInvalidCountsMatchesQueries) {
+TEST_F(PvlTest, InvalidCountsMatchQueries) {
   for (uint32_t i = 0; i < 32; ++i) {
     pvl_.RecordInvalidPage({static_cast<BlockId>(i % 4), (i / 4) % 16});
   }
   // Flush everything so the counts (derived from flash) are complete.
   while (pvl_.LogRecords() < 32) pvl_.RecordInvalidPage({9, 1});
-  std::vector<uint32_t> counts = pvl_.ComputeInvalidCountsFree();
+  RecoveryReport report;
+  std::vector<uint32_t> counts = pvl_.InvalidCounts(&report);
+  EXPECT_EQ(report.TotalPageReads(), 0u);  // derived from the scan: no IO
   for (BlockId b = 0; b < 4; ++b) {
     EXPECT_EQ(counts[b], pvl_.QueryInvalidPages(b).Count()) << "block " << b;
   }
