@@ -1318,9 +1318,8 @@ RecoveryReport BaseFtl::CrashAndRecover() {
   blocks_.RecoverMetadataLiveCounts(live_translation);
 
   // Steps 3-5: the store rebuilds itself from its own blocks, then the
-  // BVC is counted from it. A battery also saves the store's RAM state
-  // (DFTL's RAM PVB, Section 5.3); a flash-resident store still scans its
-  // blocks, since the block manager lost its metadata live counts.
+  // BVC is counted from it. A battery also saves a RAM-only store (DFTL's
+  // RAM PVB, Section 5.3); flash-resident stores rebuild either way.
   if (!config_.battery) store_->ResetRamState();
   StoreRecovery store = store_->Recover(
       blocks_.BlocksOfType(PageType::kPvm), &report);

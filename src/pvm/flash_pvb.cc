@@ -134,6 +134,7 @@ void FlashPvb::ResetRamState() {
 
 StoreRecovery FlashPvb::Recover(const std::vector<BlockId>& pvm_blocks,
                                 RecoveryReport* report) {
+  ResetRamState();
   StoreRecovery info;
   // Newest version of each chunk wins (chunk pages are updated out of
   // place, like translation pages).

@@ -39,6 +39,7 @@ class GeckoStore : public PageValidityStore {
   /// FTL-level work (Appendix C.2).
   StoreRecovery Recover(const std::vector<BlockId>& pvm_blocks,
                         RecoveryReport* report) override {
+    gecko_.ResetRamState();
     LogGeckoRecoveryInfo info = gecko_.Recover(pvm_blocks);
     RecoveryStep& step = report->Add("Gecko run directories");
     step.spare_reads = info.spare_reads;

@@ -67,8 +67,9 @@ class PageValidityStore {
   /// Power failure: drops the RAM state; flash content persists.
   virtual void ResetRamState() = 0;
 
-  /// Rebuilds the RAM state from the store's own flash blocks
-  /// (`pvm_blocks`), adding the store's step to `report`.
+  /// Replaces the RAM state with what the store's own flash blocks
+  /// (`pvm_blocks`) hold, adding the store's step to `report`. A RAM-only
+  /// store keeps its RAM state: it has nothing in flash.
   virtual StoreRecovery Recover(const std::vector<BlockId>& pvm_blocks,
                                 RecoveryReport* report) = 0;
 

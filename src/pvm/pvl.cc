@@ -237,6 +237,7 @@ void PageValidityLog::ResetRamState() {
 
 StoreRecovery PageValidityLog::Recover(const std::vector<BlockId>& pvm_blocks,
                                        RecoveryReport* report) {
+  ResetRamState();
   StoreRecovery info;
   // Locate live log pages by spare scan, then read the whole log (the
   // recovery bottleneck the paper attributes to IB-FTL) to rebuild the
