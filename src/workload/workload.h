@@ -99,7 +99,7 @@ class HotColdWorkload : public Workload {
 /// sharing one Workload* across threads. `num_lpns == 0` means "no spec":
 /// the stream falls back to an externally supplied Workload*.
 struct WorkloadSpec {
-  enum class Kind { kUniform, kSequential, kZipf, kHotCold };
+  enum class Kind { kUniform, kZipf, kHotCold };
   Kind kind = Kind::kUniform;
   uint64_t num_lpns = 0;
   /// Zipf skew parameter (kZipf only). ~0.99 matches the classic YCSB
@@ -123,13 +123,10 @@ struct WorkloadSpec {
   }
 };
 
-/// Instantiates the generator a spec describes. `seed` is ignored by
-/// kSequential (it is deterministic by construction).
+/// Instantiates the generator a spec describes.
 inline std::unique_ptr<Workload> MakeWorkload(const WorkloadSpec& spec,
                                               uint64_t seed) {
   switch (spec.kind) {
-    case WorkloadSpec::Kind::kSequential:
-      return std::make_unique<SequentialWorkload>(spec.num_lpns);
     case WorkloadSpec::Kind::kZipf:
       return std::make_unique<ZipfWorkload>(spec.num_lpns, spec.zipf_theta,
                                             seed);
