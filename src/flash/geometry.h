@@ -18,20 +18,18 @@ using ChannelId = uint32_t;
 /// paper: K blocks, B pages per block, P bytes per page, R the ratio of
 /// logical to physical capacity (over-provisioning = 1 - R).
 ///
-/// Channels/dies: a very large device is built from `num_channels`
-/// independent channels, each hosting `dies_per_channel` dies. Blocks are
-/// interleaved across channels (block k lives on channel k mod
-/// num_channels), so consecutive block allocations naturally land on
-/// distinct channels. Operations on different channels proceed in
-/// parallel; dies on one channel share its bus and therefore its latency
-/// clock (bus-limited model).
+/// Channels: a very large device is built from `num_channels` independent
+/// channels. Blocks are interleaved across channels (block k lives on
+/// channel k mod num_channels), so consecutive block allocations naturally
+/// land on distinct channels. Operations on different channels proceed in
+/// parallel; the dies on one channel share its bus and therefore its
+/// latency clock (bus-limited model), so the die count changes no timing.
 struct Geometry {
   uint32_t num_blocks = 1024;       // K
   uint32_t pages_per_block = 128;   // B
   uint32_t page_bytes = 4096;       // P
   double logical_ratio = 0.7;       // R
   uint32_t num_channels = 1;        // independent parallel channels
-  uint32_t dies_per_channel = 1;    // dies sharing one channel bus
 
   uint64_t TotalPages() const {
     return uint64_t{num_blocks} * pages_per_block;
@@ -72,7 +70,6 @@ struct Geometry {
     GECKO_CHECK_LT(logical_ratio, 1.0);
     GECKO_CHECK_GE(num_channels, 1u);
     GECKO_CHECK_LE(num_channels, num_blocks);
-    GECKO_CHECK_GE(dies_per_channel, 1u);
   }
 
   /// The paper's running example (Figure 2): a 2 TB device.
@@ -83,7 +80,6 @@ struct Geometry {
     g.page_bytes = 1u << 12;      // P = 2^12
     g.logical_ratio = 0.7;
     g.num_channels = 16;          // modern enterprise-card topology
-    g.dies_per_channel = 4;
     return g;
   }
 

@@ -1385,7 +1385,7 @@ uint64_t BaseFtl::RamBytes() const {
   uint64_t bvc_bytes = uint64_t{device_->geometry().num_blocks} * 2;
   uint64_t wear_bytes = wear_ != nullptr ? wear_->RamBytes() : 0;
   return cache_bytes + translation_.GmdRamBytes() + bvc_bytes + wear_bytes +
-         hotness_.RamBytes() + PvmRamBytes();
+         hotness_.RamBytes() + store_->RamBytes();
 }
 
 }  // namespace gecko

@@ -112,9 +112,6 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   const HotnessEstimator& hotness() const { return hotness_; }
 
  protected:
-  /// Store-specific RAM bytes beyond the common structures.
-  virtual uint64_t PvmRamBytes() const { return store_->RamBytes(); }
-
   // --- Hooks for FTL-level recovery work a store cannot do --------------
 
   /// Called once the store has rebuilt itself from flash, before the BVC

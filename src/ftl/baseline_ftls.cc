@@ -110,13 +110,8 @@ MuFtl::MuFtl(FlashDevice* device, const FtlConfig& config)
   store_ = std::make_unique<FlashPvb>(device->geometry(), device, &blocks_);
 }
 
-uint64_t MuFtl::PvmRamBytes() const {
-  // µ-FTL's translation table is a B-tree whose root alone stays resident,
-  // so its RAM model drops the GMD term BaseFtl::RamBytes adds; cancel it
-  // here (DESIGN.md §3). The PVB chunk directory remains.
-  uint64_t gmd = translation_.GmdRamBytes();
-  uint64_t store = store_->RamBytes();
-  return store > gmd ? store - gmd : 0;
+uint64_t MuFtl::RamBytes() const {
+  return BaseFtl::RamBytes() - translation_.GmdRamBytes();
 }
 
 // ---------------------------------------------------------------------------

@@ -57,10 +57,9 @@ class MuFtl : public BaseFtl {
   const char* Name() const override { return "uFTL"; }
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
- protected:
-  /// µ-FTL's B-tree keeps only the root resident: the GMD term is dropped
-  /// from the RAM model (DESIGN.md §3).
-  uint64_t PvmRamBytes() const override;
+  /// µ-FTL's B-tree keeps only the root resident, so its RAM leaves out
+  /// the GMD term (DESIGN.md §3); the PVB chunk directory stays.
+  uint64_t RamBytes() const override;
 };
 
 /// IB-FTL [18]: flash-resident page-validity log with RAM chain heads;

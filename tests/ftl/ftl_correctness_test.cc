@@ -53,6 +53,28 @@ TEST_P(FtlCorrectnessTest, SkewedUpdatesKeepColdDataIntact) {
   shadow.VerifyAll();
 }
 
+// The dirty cap bounds the cache after every request, not only after lone
+// writes: one batch can dirty several entries, and the batched path
+// enforces the cap once, when the request ends.
+TEST_P(FtlCorrectnessTest, DirtyCapHoldsAfterEveryBatchedWrite) {
+  FlashDevice device(Geo());
+  auto ftl = MakeFtl(FtlName(), &device, 64);
+  const BaseFtl* base = dynamic_cast<const BaseFtl*>(ftl.get());
+  ASSERT_NE(base, nullptr);
+  const uint32_t cap = base->config().DirtyCap();
+  if (cap == 0) GTEST_SKIP() << FtlName() << " has no dirty cap";
+  ShadowHarness shadow(ftl.get(), device.geometry().NumLogicalPages());
+  for (Lpn lpn = 0; lpn < shadow.num_lpns(); ++lpn) shadow.Write(lpn);
+  UniformWorkload workload(shadow.num_lpns(), 71);
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<Lpn> lpns;
+    for (int e = 0; e < 8; ++e) lpns.push_back(workload.NextLpn());
+    shadow.WriteBatch(lpns);
+    ASSERT_LE(base->cache().dirty_count(), cap) << "after request " << i;
+  }
+  shadow.VerifyAll();
+}
+
 TEST_P(FtlCorrectnessTest, ReadMissesFetchFromFlash) {
   FlashDevice device(Geo());
   // A tiny cache forces evictions and synchronizations constantly.

@@ -144,6 +144,19 @@ TEST(PolicyTest, CostBenefitAgeComparableAcrossChannels) {
   EXPECT_LT(policy.Score(old_block), policy.Score(young_block));
 }
 
+// µ-FTL keeps only its B-tree root resident, so its RAM is the cache, the
+// BVC and the flash PVB's chunk directory, with no GMD term.
+TEST(PolicyTest, MuFtlRamLeavesOutTheGmd) {
+  Geometry g;
+  g.num_blocks = 4096;
+  g.pages_per_block = 64;
+  g.page_bytes = 2048;
+  FlashDevice device(g);
+  MuFtl ftl(&device, MuFtl::DefaultConfig(1024));
+  // Cache 1,024 x 8 B + BVC 4,096 x 2 B + 16 chunks x 8 B.
+  EXPECT_EQ(ftl.RamBytes(), 8192u + 8192u + 128u);
+}
+
 TEST(PolicyTest, WearLevelingOffByDefaultCostsNothing) {
   FlashDevice device(FtlTestGeometry());
   GeckoFtl ftl(&device, GeckoFtl::DefaultConfig(128));

@@ -119,6 +119,23 @@ TEST_F(PvlTest, RecoverRebuildsChainHeads) {
   EXPECT_GE(total, 32u);
 }
 
+// GC records an erase and erases the block in one step, so records made
+// just before it share the erase's device-sequence window. Recovery must
+// place the erase at the end of that window, or those records come back
+// as current and mark the reused block's pages invalid.
+TEST_F(PvlTest, RecoveredEraseObsoletesRecordsOfItsWindow) {
+  for (uint32_t i = 0; i < 4; ++i) pvl_.RecordInvalidPage({6, i});
+  pvl_.RecordErase(6);
+  device_.EraseBlock(6, IoPurpose::kGcMigration);
+  // Flush them to a log page, which survives the crash.
+  while (pvl_.LogPages() == 0) pvl_.RecordInvalidPage({9, 0});
+  pvl_.ResetRamState();
+  RecoveryReport report;
+  pvl_.Recover(allocator_.NonFreeBlocks(), &report);
+  EXPECT_EQ(pvl_.QueryInvalidPages(6).Count(), 0u);
+  EXPECT_EQ(pvl_.QueryInvalidPages(9).Count(), 1u);
+}
+
 TEST_F(PvlTest, RelocatePageMovesLiveLogPage) {
   for (uint32_t i = 0; i < 16; ++i) pvl_.RecordInvalidPage({3, i});
   ASSERT_EQ(pvl_.LogPages(), 1u);
