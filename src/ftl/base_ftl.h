@@ -1,12 +1,16 @@
 // Shared machinery of all page-associative FTLs in this repository.
 //
-// BaseFtl implements the DFTL-style translation scheme the paper adopts
-// (Section 4): a flash-resident translation table with GMD, an LRU mapping
-// cache with synchronization operations, a BVC, garbage collection with
-// pluggable victim policy, checkpoints, dirty-entry caps, and power-failure
-// recovery. The five FTLs differ in two choices (Section 5.3): the
-// page-validity store a subclass hands to BaseFtl, and how dirty mapping
-// entries survive power loss, which BaseFtl picks from the config:
+// BaseFtl is the request path of the DFTL-style scheme the paper adopts
+// (Section 4) and wires together the parts it owns:
+//   - a TranslationLayer: translation table with GMD, LRU mapping cache,
+//     synchronization, eviction, checkpoints and the dirty-entry cap;
+//   - a GcEngine: the BVC, the resumable collection with pluggable victim
+//     policy, wear leveling, and the watermark ladder that paces them;
+//   - the page-validity store a subclass builds;
+// and recovers them after a power failure with the steps of ftl/recovery.h.
+// The five FTLs differ in two choices (Section 5.3): the page-validity
+// store, and how dirty mapping entries survive power loss, which recovery
+// picks from the config:
 //
 //            validity store      dirty-entry recovery
 //   GeckoFtl Logarithmic Gecko   checkpoint-bounded lazy scan (GeckoRec)
@@ -18,6 +22,7 @@
 #ifndef GECKOFTL_FTL_BASE_FTL_H_
 #define GECKOFTL_FTL_BASE_FTL_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -26,19 +31,21 @@
 #include "ftl/block_manager.h"
 #include "ftl/ftl.h"
 #include "ftl/ftl_config.h"
-#include "ftl/gc_victim_policy.h"
+#include "ftl/gc_engine.h"
 #include "ftl/hotness.h"
-#include "ftl/maintenance_scheduler.h"
 #include "ftl/mapping_cache.h"
-#include "ftl/translation_table.h"
-#include "ftl/wear_leveler.h"
+#include "ftl/recovery.h"
+#include "ftl/translation_layer.h"
 #include "pvm/page_validity_store.h"
 
 namespace gecko {
 
-class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
+class BaseFtl : public Ftl, private AsyncHost {
  public:
-  BaseFtl(FlashDevice* device, const FtlConfig& config);
+  /// `make_store` builds the page-validity store on the block manager.
+  BaseFtl(FlashDevice* device, const FtlConfig& config,
+          const std::function<std::unique_ptr<PageValidityStore>(
+              BlockManager*)>& make_store);
   ~BaseFtl() override = default;
 
   /// Request-oriented entry point: a thin wrapper over the async path
@@ -80,71 +87,61 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// capacity, the first post-recovery write re-derives it.
   bool IsDegraded() const override { return degraded_; }
 
-  FlashDevice& device() { return *device_; }
   const FtlConfig& config() const { return config_; }
-  const MappingCache& cache() const { return cache_; }
+  const MappingCache& cache() const { return translation_.cache(); }
   BlockManager& block_manager() { return blocks_; }
-  TranslationTable& translation() { return translation_; }
-
-  /// Identified-invalid count of a user block (the BVC of Figure 7).
-  uint32_t InvalidCount(BlockId block) const { return bvc_[block]; }
 
   /// Forces one full GC collection cycle (tests/benchmarks), resuming the
-  /// in-flight incremental collection if one exists. False (and a
-  /// gc_force_skips count) when refused because GC was already executing.
-  bool ForceGc() override;
+  /// in-flight incremental collection if one exists. False when nothing
+  /// was collectable, or (a gc_force_skips count) GC was already running.
+  bool ForceGc() override { return gc_.Collect(); }
 
   /// One background-maintenance tick inside its own device batch window;
   /// the window's makespan is recorded under RequestClass::kMaintenance.
   uint64_t IdleTick() override;
 
-  /// The maintenance plane (watermarks, scheduling counters).
-  const MaintenanceScheduler& maintenance() const { return scheduler_; }
-
-  /// Phase of the resumable GC state machine (kIdle = no collection in
-  /// flight). Tests use this to inject crashes at step boundaries.
-  GcPhase gc_phase() const { return gc_.phase; }
-
-  /// The active victim-selection policy object.
-  const GcVictimPolicy& victim_policy() const { return *victim_policy_; }
-
-  /// The write-temperature estimator (hot/cold stream separation).
-  const HotnessEstimator& hotness() const { return hotness_; }
+  /// The GC engine and its pacing: watermarks, MaintenanceStats, the
+  /// phase of the collection in flight, the victim policy and the BVC.
+  const GcEngine& maintenance() const { return gc_; }
 
  protected:
   // --- Hooks for FTL-level recovery work a store cannot do --------------
 
   /// Called once the store has rebuilt itself from flash, before the BVC
-  /// is counted from it: GeckoFTL re-derives its buffer (Appendix C.2),
-  /// DFTL charges the battery read-back of its RAM PVB.
-  virtual void OnStoreRecovered(RecoveryReport* report) { (void)report; }
+  /// is counted from it: GeckoFTL re-derives its buffer from `scan`
+  /// (Appendix C.2), DFTL charges the battery read-back of its RAM PVB.
+  virtual void OnStoreRecovered(const FlashMetadataScan& /*scan*/,
+                                RecoveryReport* /*report*/) {}
 
   /// Called once dirty entries are recovered, before normal operation
   /// resumes: GeckoFTL persists what its buffer recovery re-derived,
   /// LazyFTL rebuilds its RAM PVB and the BVC from the translation table.
-  virtual void OnRecoveryComplete(RecoveryReport* report) { (void)report; }
+  virtual void OnRecoveryComplete(RecoveryReport* /*report*/) {}
 
-  /// Subclass hook invoked after a translation page is replaced; GeckoFTL
-  /// pins the block holding the previous version (Appendix C.2.2).
+  /// Invoked after a translation page is replaced; GeckoFTL pins the
+  /// block holding the previous version (Appendix C.2.2).
   virtual void OnTranslationPageReplaced(TPageId /*tpage*/,
                                          PhysicalAddress /*old_addr*/) {}
 
-  /// Flushes store-specific volatile state (kFlush); GeckoFTL flushes the
-  /// Logarithmic Gecko buffer and releases translation-diff pins.
+  /// Flushes store-specific volatile state (kFlush and idle flushes);
+  /// GeckoFTL flushes the Logarithmic Gecko buffer and releases
+  /// translation-diff pins.
   virtual void FlushMetadata() {}
 
-  // --- Shared internals (used by subclasses) ----------------------------
+  FlashDevice* device_;
+  FtlConfig config_;
+  BlockManager blocks_;
+  std::unique_ptr<PageValidityStore> store_;
+  /// Update-recency/frequency sketch behind ClassifyWrite (RAM-only;
+  /// reset by a power failure).
+  HotnessEstimator hotness_;
+  /// Counted by the request path and the parts. Mutable: counters()
+  /// refreshes the device-derived fault counters on read.
+  mutable FtlCounters counters_;
+  TranslationLayer translation_;
+  GcEngine gc_;
 
-  /// Reports a user-page invalidation. The BVC and the GC-victim mirror
-  /// update immediately; the store record is forwarded at once in normal
-  /// operation, or collected and submitted as one RecordInvalidPages batch
-  /// while a write batch or trim is being serviced (so flash-resident
-  /// stores pay one read-modify-write per touched metadata page per
-  /// request; a lone write reports at once). GC paths flush the collected batch before querying or
-  /// recording erases, keeping the store's view consistent.
-  void ReportInvalid(PhysicalAddress addr);
-  void FlushPendingInvalid();
-
+ private:
   // --- AsyncHost (the engine's view of this FTL) ------------------------
 
   /// Services one validated request (the engine brackets the call in its
@@ -221,161 +218,15 @@ class BaseFtl : public Ftl, private MaintenanceHost, private AsyncHost {
   /// translation page) and flushes store-specific volatile state.
   void FlushAll();
 
-  // --- MaintenanceHost (the mechanics the scheduler drives) -------------
-
-  uint32_t FreeBlocks() const override { return blocks_.NumFreeBlocks(); }
-  bool GcInFlight() const override { return gc_.phase != GcPhase::kIdle; }
-  GcStepOutcome GcStep(uint32_t max_migrations) override;
-  void TakeCheckpoint() override;
-  void FlushVolatileMetadata() override { FlushMetadata(); }
-  bool WearScanStep() override;
-  uint32_t DeviceBlocks() const override {
-    return device_->geometry().num_blocks;
-  }
-  void OnSpaceExhausted() override { EnterDegradedMode(); }
-
-  /// Flips the sticky degraded flag (idempotent) and logs the transition.
-  void EnterDegradedMode();
-
-#ifdef GECKO_DEBUG_GC_GROUND_TRUTH
-  /// Debug-only: aborts if `addr` is the authoritative location of the
-  /// logical page it holds (a report for it would destroy live data).
-  void DebugCheckNotAuthoritative(PhysicalAddress addr, const char* tag);
-#endif
-
-  /// Synchronization operation (Section 4): flushes every dirty cached
-  /// entry of `tpage` into a new version of that translation page,
-  /// resolving UIP/uncertain flags per Section 4.1 / Appendix C.3.
-  void SyncTranslationPage(TPageId tpage);
-  /// One synchronization per translation page holding any of `lpns`, in
-  /// page order (checkpoints, flushes, power-fail and recovery syncs).
-  void SyncTranslationPagesOf(const std::vector<Lpn>& lpns);
-
-  /// Evicts the LRU entry, synchronizing first if dirty.
-  void EvictOne();
-
-  // --- Resumable GC state machine ---------------------------------------
-  // One collection = select victim + query store (kIdle step) -> migrate
-  // up to K live pages per step (kMigrate) -> flush grouped invalidation
-  // reports (kFlush) -> erase record + physical erase atomically (kErase).
-  // The cursor is RAM-only: a crash at any step boundary abandons the
-  // collection, and recovery treats the half-migrated victim like any
-  // other block (migrated copies are ordinary out-of-place writes; stale
-  // victim copies are caught by the last_recovery_seq_ validation below).
-
-  struct GcCursor {
-    GcPhase phase = GcPhase::kIdle;
-    BlockId victim = kInvalidU32;
-    PageType type = PageType::kUser;
-    /// Store snapshot from the collection's single GC query (user blocks).
-    Bitmap invalid;
-    /// Next page offset of the victim to examine.
-    uint32_t next_page = 0;
-  };
-
-  /// Starts a collection of `victim`: counts it, snapshots the validity
-  /// bitmap (user blocks), and arms the fresh-invalidation mirror.
-  void StartCollection(BlockId victim);
-  /// Migrates up to `max_migrations` live pages, advancing the cursor;
-  /// transitions to kFlush when the victim is fully examined.
-  uint32_t MigrateUserPages(uint32_t max_migrations);
-  uint32_t MigrateMetadataPages(uint32_t max_migrations);
-  /// kErase: records the erase in the validity store and erases the
-  /// victim, in one crash-atomic step.
-  void FinishCollection();
-  /// Runs the state machine until the current collection completes,
-  /// starting one on `forced_victim` first if the cursor is idle (used by
-  /// wear leveling to collect a specific block).
-  void RunCollectionToCompletion(BlockId forced_victim);
-  /// Victim selection through the pluggable policy object. kInvalidU32
-  /// when no candidate exists (every non-free block active/pinned/
-  /// all-live, or grown bad blocks retired the spare capacity).
-  BlockId SelectVictim();
-
-  /// Erases `block` through the device, dropping stale translation images
-  /// first, and returns it to the free pool — unless the block is marked
-  /// for retirement or its erase faults, in which case it is retired.
-  void EraseBlockForGc(BlockId block, IoPurpose purpose);
-
-  /// Inserts (or updates) a cache entry for a freshly written/migrated
-  /// page, evicting as needed. `uip` follows Section 4.1's rules.
-  void UpsertCacheEntry(Lpn lpn, PhysicalAddress ppa, bool uip);
-
-  /// Counts a cache insert-or-update; the scheduler owns the checkpoint
-  /// cadence (Section 4.3) and decides when TakeCheckpoint runs.
-  void NoteCacheOp();
-  void EnforceDirtyCap();
-
-  /// Backward spare-area scan over user blocks (newest first): recreates
-  /// up to C mapping entries, bounded by 2*`scan_bound` spare reads.
-  /// When `report_duplicates` is set, older versions of already-seen lpns
-  /// are reported invalid (DESIGN.md deviation 2). Entries are inserted
-  /// dirty, with the uip/uncertain flags as requested (GeckoRec sets both;
-  /// baselines without a UIP concept set neither).
-  void BackwardScanRecoverEntries(uint64_t scan_bound, bool mark_uip,
-                                  bool mark_uncertain, bool report_duplicates,
-                                  RecoveryReport* report);
-
-  /// Erases fully-dead, non-active metadata blocks left over after
-  /// recovery (only under the auto-erase metadata policy).
-  void SweepDeadMetadataBlocks();
-
   /// Write-temperature class for a fresh host write/trim of `lpn`
   /// (records the op in the estimator first). Always 0 with one class.
   uint8_t ClassifyWrite(Lpn lpn, bool tombstone);
 
-  FlashDevice* device_;
-  FtlConfig config_;
-  BlockManager blocks_;
-  /// The page-validity store, built by the subclass on blocks_.
-  std::unique_ptr<PageValidityStore> store_;
-  TranslationTable translation_;
-  MappingCache cache_;
-  /// Update-recency/frequency sketch behind ClassifyWrite (RAM-only;
-  /// reset by a power failure).
-  HotnessEstimator hotness_;
-  std::unique_ptr<WearLeveler> wear_;
-  std::unique_ptr<GcVictimPolicy> victim_policy_;
-  /// Resumable-GC cursor (RAM-only; dies with a crash).
-  GcCursor gc_;
-  /// BVC: identified-invalid pages per block (user blocks only).
-  std::vector<uint32_t> bvc_;
-  /// While a user block is being collected, invalidation reports can still
-  /// arrive for it (synchronizations triggered by migration-driven cache
-  /// evictions identify before-images lazily). The GC query's bitmap was
-  /// snapshotted at collection start, so fresh reports for the victim are
-  /// mirrored here and consulted before migrating each page.
-  BlockId gc_victim_ = kInvalidU32;
-  Bitmap gc_victim_fresh_invalid_;
-  /// Device sequence at the end of the last power-failure recovery. Pages
-  /// written before this point may carry invalidations whose buffered
-  /// reports died with the crash and evaded every re-derivation path
-  /// (e.g. intermediate before-images outside the backward-scan window);
-  /// GC validates such pages against the translation table before
-  /// migrating them. Pages written after it are exactly tracked, so
-  /// crash-free operation pays nothing (DESIGN.md §3).
-  uint64_t last_recovery_seq_ = 0;
-  /// Mutable: counters() refreshes the device-derived fault counters
-  /// (remapped programs, grown bad blocks, degraded flag) on read.
-  mutable FtlCounters counters_;
   /// Sticky read-only mode (see IsDegraded). Reset by a power cycle and
   /// re-derived from the persistent physical state on the next write.
   bool degraded_ = false;
-  bool in_gc_ = false;  // guards re-entrant GC step execution
-  /// While true (inside WriteBatch, except for a lone write), ReportInvalid
-  /// collects store records into pending_invalid_ instead of forwarding
-  /// them one by one; FlushPendingInvalid submits the batch.
-  bool defer_invalid_reports_ = false;
-  std::vector<PhysicalAddress> pending_invalid_;
-  /// Saved translation-page versions from the last RecoverGmd call, used
-  /// by GeckoFTL's buffer recovery diffing.
-  std::vector<TranslationTable::TPageVersions> recovered_versions_;
-  /// Saved Blocks Information Directory from the current recovery pass
-  /// (block type + first-write seq), used by store-specific steps.
-  std::vector<BlockManager::BidEntry> last_bid_;
-  /// The maintenance plane: decides when GC steps, checkpoints, wear
-  /// scans, and idle flushes run. Declared last; it only stores pointers.
-  MaintenanceScheduler scheduler_;
+  /// Background ticks since the last idle flush (idle_flush_period).
+  uint64_t ticks_since_flush_ = 0;
   /// The async submission/completion engine (declared after everything it
   /// can reach through the AsyncHost hooks; only stores pointers).
   AsyncEngine engine_;

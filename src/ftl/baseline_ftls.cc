@@ -38,11 +38,12 @@ FtlConfig DftlFtl::DefaultConfig(uint32_t cache_capacity) {
 }
 
 DftlFtl::DftlFtl(FlashDevice* device, const FtlConfig& config)
-    : BaseFtl(device, config) {
-  store_ = std::make_unique<RamPvb>(device->geometry());
-}
+    : BaseFtl(device, config, [device](BlockManager*) {
+        return std::make_unique<RamPvb>(device->geometry());
+      }) {}
 
-void DftlFtl::OnStoreRecovered(RecoveryReport* report) {
+void DftlFtl::OnStoreRecovered(const FlashMetadataScan&,
+                               RecoveryReport* report) {
   // The battery copied the RAM PVB to flash before power ran out
   // (Section 5.3); recovery reads it back: B*K/8 bytes = B*K/(8*P) pages.
   // This copy lives outside the simulated address space, so only the
@@ -61,23 +62,23 @@ FtlConfig LazyFtl::DefaultConfig(uint32_t cache_capacity) {
 }
 
 LazyFtl::LazyFtl(FlashDevice* device, const FtlConfig& config)
-    : BaseFtl(device, config) {
-  store_ = std::make_unique<RamPvb>(device->geometry());
-}
+    : BaseFtl(device, config, [device](BlockManager*) {
+        return std::make_unique<RamPvb>(device->geometry());
+      }) {}
 
 void LazyFtl::OnRecoveryComplete(RecoveryReport* report) {
   // Runs after the recovered dirty entries are synchronized, so the
   // translation table is current. Scans all translation pages (TT/P page
   // reads, the paper's LazyFTL recovery bottleneck): pages referenced by
-  // the table are live, every other written user page is invalid.
+  // the table are live, every other written user page is invalid. The
+  // BVC starts from zero here, so reporting them rebuilds it exactly.
   const Geometry& g = device_->geometry();
   RecoveryStep& step = report->Add("PVB rebuild (translation-table scan)");
-  std::vector<Bitmap> live(g.num_blocks);
-  for (auto& b : live) b = Bitmap(g.pages_per_block);
-  for (TPageId t = 0; t < translation_.num_tpages(); ++t) {
-    if (!translation_.Exists(t)) continue;
+  std::vector<Bitmap> live(g.num_blocks, Bitmap(g.pages_per_block));
+  for (TPageId t = 0; t < translation_.table().num_tpages(); ++t) {
+    if (!translation_.table().Exists(t)) continue;
     std::vector<PhysicalAddress> mappings =
-        translation_.ReadTPage(t, IoPurpose::kRecovery);
+        translation_.table().ReadTPage(t, IoPurpose::kRecovery);
     ++step.page_reads;
     for (const PhysicalAddress& ppa : mappings) {
       if (ppa.IsValid()) live[ppa.block].Set(ppa.page);
@@ -85,15 +86,9 @@ void LazyFtl::OnRecoveryComplete(RecoveryReport* report) {
   }
   for (BlockId b = 0; b < g.num_blocks; ++b) {
     if (blocks_.BlockType(b) != PageType::kUser) continue;
-    uint32_t written = device_->PagesWritten(b);
-    uint32_t invalid = 0;
-    for (uint32_t p = 0; p < written; ++p) {
-      if (!live[b].Test(p)) {
-        store_->RecordInvalidPage(PhysicalAddress{b, p});
-        ++invalid;
-      }
+    for (uint32_t p = 0; p < device_->PagesWritten(b); ++p) {
+      if (!live[b].Test(p)) gc_.ReportInvalid(PhysicalAddress{b, p});
     }
-    bvc_[b] = invalid;
   }
 }
 
@@ -106,12 +101,12 @@ FtlConfig MuFtl::DefaultConfig(uint32_t cache_capacity) {
 }
 
 MuFtl::MuFtl(FlashDevice* device, const FtlConfig& config)
-    : BaseFtl(device, config) {
-  store_ = std::make_unique<FlashPvb>(device->geometry(), device, &blocks_);
-}
+    : BaseFtl(device, config, [device](BlockManager* blocks) {
+        return std::make_unique<FlashPvb>(device->geometry(), device, blocks);
+      }) {}
 
 uint64_t MuFtl::RamBytes() const {
-  return BaseFtl::RamBytes() - translation_.GmdRamBytes();
+  return BaseFtl::RamBytes() - translation_.table().GmdRamBytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -127,9 +122,9 @@ FtlConfig IbFtl::DefaultConfig(uint32_t cache_capacity) {
 }
 
 IbFtl::IbFtl(FlashDevice* device, const FtlConfig& config)
-    : BaseFtl(device, config) {
-  store_ =
-      std::make_unique<PageValidityLog>(device->geometry(), device, &blocks_);
-}
+    : BaseFtl(device, config, [device](BlockManager* blocks) {
+        return std::make_unique<PageValidityLog>(device->geometry(), device,
+                                                 blocks);
+      }) {}
 
 }  // namespace gecko

@@ -33,7 +33,8 @@ class DftlFtl : public BaseFtl {
 
  protected:
   /// Charges reading back the battery's copy of the RAM PVB.
-  void OnStoreRecovered(RecoveryReport* report) override;
+  void OnStoreRecovered(const FlashMetadataScan& scan,
+                        RecoveryReport* report) override;
 };
 
 /// LazyFTL [26]: RAM-resident PVB, no battery; dirty entries capped at 10%

@@ -251,6 +251,7 @@ void BlockManager::ResetRamState() {
   next_slot_.fill(0);
   std::fill(user_next_slot_.begin(), user_next_slot_.end(), 0u);
   pinned_.clear();
+  compact_mode_ = false;
   // Pending retirement marks are lost with the RAM; blocks already retired
   // persist in the medium and PushFreeBlock keeps refusing them.
   bad_blocks_.ResetRamState();

@@ -243,7 +243,7 @@ class Ftl {
 
   /// One background-maintenance tick: the host is idle, so the FTL may run
   /// bounded incremental GC steps, flush volatile metadata, and do other
-  /// housekeeping (ftl/maintenance_scheduler.h). Returns the number of GC
+  /// housekeeping (ftl/gc_engine.h). Returns the number of GC
   /// steps executed (0 = nothing needed doing). Simulation drivers call
   /// this during the idle phases of a bursty workload.
   virtual uint64_t IdleTick() { return 0; }

@@ -41,7 +41,7 @@ enum class InvalidationMode : uint8_t {
 /// it).
 inline constexpr uint32_t kGcFreeBlockFloor = 5;
 
-/// Tuning of the maintenance scheduler (ftl/maintenance_scheduler.h).
+/// Pacing of garbage collection (ftl/gc_engine.h).
 ///
 /// The free pool is governed by three levels:
 ///
@@ -111,7 +111,7 @@ struct FtlConfig {
   GcPolicy gc_policy = GcPolicy::kNeverCollectMetadata;
   InvalidationMode invalidation = InvalidationMode::kLazyUip;
 
-  /// Maintenance plane (ftl/maintenance_scheduler.h): watermarks and step
+  /// Maintenance plane (ftl/gc_engine.h): watermarks and step
   /// budgets for incremental background/throttled-foreground collection.
   MaintenanceConfig maintenance;
 

@@ -18,12 +18,11 @@ FtlConfig GeckoFtl::DefaultConfig(uint32_t cache_capacity) {
 }
 
 GeckoFtl::GeckoFtl(FlashDevice* device, const FtlConfig& config)
-    : BaseFtl(device, config) {
-  auto store = std::make_unique<GeckoStore>(device->geometry(), config.gecko,
-                                            device, &blocks_);
-  gecko_ = &store->gecko();
-  store_ = std::move(store);
-}
+    : BaseFtl(device, config, [&](BlockManager* blocks) {
+        return std::make_unique<GeckoStore>(device->geometry(), config.gecko,
+                                            device, blocks);
+      }),
+      gecko_(&static_cast<GeckoStore&>(*store_).gecko()) {}
 
 void GeckoFtl::OnTranslationPageReplaced(TPageId, PhysicalAddress old_addr) {
   // Appendix C.2.2: the previous version of a translation page updated
@@ -37,8 +36,7 @@ void GeckoFtl::OnTranslationPageReplaced(TPageId, PhysicalAddress old_addr) {
     // left unchecked, pinned translation blocks would consume the device.
     // Flushing the buffer advances the durable horizon, making the older
     // versions unnecessary for recovery, so their pins can drop.
-    gecko_->Flush();
-    blocks_.UnpinThrough(gecko_->DurableSeq());
+    FlushMetadata();
   }
   blocks_.Pin(old_addr.block, now);
 }
@@ -48,7 +46,8 @@ void GeckoFtl::FlushMetadata() {
   blocks_.UnpinThrough(gecko_->DurableSeq());
 }
 
-void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
+void GeckoFtl::OnStoreRecovered(const FlashMetadataScan& scan,
+                                RecoveryReport* report) {
   // Step 4a, Appendix C.2.1: any block that is free, or whose first page was
   // written after the durable horizon, was erased after the last flush;
   // its erase record may have died with the buffer. Re-inserting an erase
@@ -65,8 +64,8 @@ void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
   // normal operation.
   report->Add("Gecko buffer (erased blocks)");
   uint64_t durable = gecko_->DurableSeq();
-  for (BlockId b = 0; b < last_bid_.size(); ++b) {
-    const BlockManager::BidEntry& e = last_bid_[b];
+  for (BlockId b = 0; b < scan.bid.size(); ++b) {
+    const BlockManager::BidEntry& e = scan.bid[b];
     if (e.type == PageType::kFree || e.first_seq > durable) {
       gecko_->RecordErase(b);
     }
@@ -80,8 +79,9 @@ void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
   // logical page (it may have been erased and rewritten).
   RecoveryStep& step = report->Add("Gecko buffer (translation diff)");
   durable = gecko_->DurableSeq();  // the erase records may have flushed
-  for (TPageId t = 0; t < recovered_versions_.size(); ++t) {
-    const TranslationTable::TPageVersions& v = recovered_versions_[t];
+  TranslationTable& table = translation_.table();
+  for (TPageId t = 0; t < scan.versions.size(); ++t) {
+    const TranslationTable::TPageVersions& v = scan.versions[t];
     if (!v.current.IsValid() || v.current_seq <= durable) continue;
     // Diff every consecutive version pair whose newer side postdates the
     // durable horizon. A translation page can be synchronized more than
@@ -92,19 +92,18 @@ void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
     for (size_t i = 0; i < v.versions.size(); ++i) {
       if (v.versions[i].seq <= durable) continue;
       const std::vector<PhysicalAddress>& current =
-          translation_.ReadVersion(v.versions[i].addr, IoPurpose::kRecovery);
+          table.ReadVersion(v.versions[i].addr, IoPurpose::kRecovery);
       ++step.page_reads;
       std::vector<PhysicalAddress> previous(current.size(), kNullAddress);
       if (i > 0) {
-        previous =
-            translation_.ReadVersion(v.versions[i - 1].addr,
+        previous = table.ReadVersion(v.versions[i - 1].addr,
                                      IoPurpose::kRecovery);
         ++step.page_reads;
       }
       for (size_t e = 0; e < current.size(); ++e) {
         PhysicalAddress old = previous[e];
         if (!old.IsValid() || old == current[e]) continue;
-        Lpn lpn = static_cast<Lpn>(t * translation_.entries_per_page() + e);
+        Lpn lpn = static_cast<Lpn>(t * table.entries_per_page() + e);
         PageReadResult r = device_->ReadSpare(old, IoPurpose::kRecovery);
         ++step.spare_reads;
         // Report only if the page still holds this logical page AND was
@@ -115,10 +114,7 @@ void GeckoFtl::OnStoreRecovered(RecoveryReport* report) {
         // invalid — the hazard class of Appendix C.3.2.
         if (r.written && r.spare.IsUser() && r.spare.key == lpn &&
             r.spare.seq < v.versions[i].seq) {
-#ifdef GECKO_DEBUG_GC_GROUND_TRUTH
-          DebugCheckNotAuthoritative(old, "tdiff");
-#endif
-          ReportInvalid(old);
+          gc_.ReportInvalid(old);
         }
       }
     }
@@ -134,8 +130,7 @@ void GeckoFtl::OnRecoveryComplete(RecoveryReport* report) {
   // mark live pages invalid. A flush costs a handful of page writes.
   RecoveryStep& step = report->Add("flush re-derived Gecko buffer");
   IoCounters before = device_->stats().Snapshot();
-  gecko_->Flush();
-  blocks_.UnpinThrough(gecko_->DurableSeq());
+  FlushMetadata();
   IoCounters delta = device_->stats().Snapshot() - before;
   step.page_writes = delta.TotalWrites();
   step.page_reads = delta.TotalReads();

@@ -31,8 +31,10 @@ class GeckoFtl : public BaseFtl {
   static FtlConfig DefaultConfig(uint32_t cache_capacity);
 
  protected:
-  /// GeckoRec step 4: the buffer (Appendix C.2).
-  void OnStoreRecovered(RecoveryReport* report) override;
+  /// GeckoRec step 4: the buffer (Appendix C.2), re-derived from the
+  /// BID and the translation-page versions recovery scanned.
+  void OnStoreRecovered(const FlashMetadataScan& scan,
+                        RecoveryReport* report) override;
   void OnRecoveryComplete(RecoveryReport* report) override;
   void OnTranslationPageReplaced(TPageId tpage,
                                  PhysicalAddress old_addr) override;
@@ -42,7 +44,7 @@ class GeckoFtl : public BaseFtl {
 
  private:
   /// The Logarithmic Gecko inside store_.
-  LogGecko* gecko_;
+  LogGecko* const gecko_;
 };
 
 }  // namespace gecko

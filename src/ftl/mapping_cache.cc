@@ -63,18 +63,6 @@ const MappingEntry* MappingCache::Peek(Lpn lpn) const {
 MappingEntry* MappingCache::Insert(Lpn lpn, const MappingEntry& entry) {
   uint32_t slot = Probe(lpn);
   GECKO_CHECK(index_[slot].node == kNil) << "lpn " << lpn << " already cached";
-  return InsertAt(slot, lpn, entry);
-}
-
-MappingEntry* MappingCache::InsertIfAbsent(Lpn lpn,
-                                           const MappingEntry& entry) {
-  uint32_t slot = Probe(lpn);
-  if (index_[slot].node != kNil) return &nodes_[index_[slot].node].entry;
-  return InsertAt(slot, lpn, entry);
-}
-
-MappingEntry* MappingCache::InsertAt(uint32_t slot, Lpn lpn,
-                                     const MappingEntry& entry) {
   GECKO_CHECK(!NeedsEviction()) << "insert without prior eviction";
   uint32_t n = free_;
   if (n != kNil) {

@@ -11,8 +11,8 @@
 //               verifies them (Appendix C.3).
 //
 // Entries live in a node slab reserved to the capacity at construction;
-// it never reallocates, so a MappingEntry* returned by Find, Insert or
-// InsertIfAbsent stays valid until that lpn is erased. An open-addressing
+// it never reallocates, so a MappingEntry* returned by Find or Insert
+// stays valid until that lpn is erased. An open-addressing
 // index (a power-of-two table of at least 2C slots, linear probing,
 // backward-shift deletion) maps lpn -> node, so every lookup, insert and
 // erase is O(1). Each run of eight consecutive lpns hashes to eight
@@ -72,14 +72,6 @@ class MappingCache {
   /// Inserts a new entry at MRU. The caller must have made room first
   /// (while NeedsEviction(): evict). Aborts if `lpn` is already present.
   MappingEntry* Insert(Lpn lpn, const MappingEntry& entry);
-
-  /// Insert that tolerates the entry already being present: returns the
-  /// existing entry untouched (no recency refresh, no overwrite) when
-  /// `lpn` is cached, otherwise inserts at MRU like Insert. Used by batched
-  /// and replayed miss fills, where an earlier extent of the same group
-  /// (or an interleaved request) may have populated the lpn already. The
-  /// caller must still have made room first when the lpn is absent.
-  MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry);
 
   bool NeedsEviction() const { return size_ >= capacity_; }
 
@@ -193,7 +185,6 @@ class MappingCache {
   uint32_t Home(Lpn lpn) const;
   /// The index slot holding `lpn`, or the empty slot that ends its probe.
   uint32_t Probe(Lpn lpn) const;
-  MappingEntry* InsertAt(uint32_t slot, Lpn lpn, const MappingEntry& entry);
   void EraseSlot(uint32_t slot);
   void Unlink(uint32_t n);
   void LinkAtMru(uint32_t n);

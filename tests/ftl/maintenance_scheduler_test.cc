@@ -8,7 +8,7 @@
 #include <set>
 
 #include "ftl/gc_victim_policy.h"
-#include "ftl/maintenance_scheduler.h"
+#include "ftl/gc_engine.h"
 #include "tests/ftl/ftl_test_util.h"
 #include "util/random.h"
 #include "workload/workload.h"
@@ -91,10 +91,10 @@ TEST_P(MaintenanceTest, IdleTicksDriveCollectionsThroughEveryPhase) {
   // cursor through every phase of at least one collection.
   std::set<GcPhase> seen;
   for (int tick = 0; tick < 200; ++tick) {
-    seen.insert(base->gc_phase());
+    seen.insert(base->maintenance().phase());
     ftl->IdleTick();
   }
-  seen.insert(base->gc_phase());
+  seen.insert(base->maintenance().phase());
   EXPECT_TRUE(seen.count(GcPhase::kIdle));
   if (base->maintenance().stats().background_steps > 0) {
     EXPECT_TRUE(seen.count(GcPhase::kMigrate));
@@ -114,7 +114,7 @@ TEST_P(MaintenanceTest, BackgroundTicksRefillThePoolToTheSoftWatermark) {
   for (int tick = 0; tick < 2000; ++tick) {
     if (base->block_manager().NumFreeBlocks() >=
             base->maintenance().soft_watermark() &&
-        base->gc_phase() == GcPhase::kIdle) {
+        base->maintenance().phase() == GcPhase::kIdle) {
       break;
     }
     ftl->IdleTick();
@@ -155,12 +155,12 @@ TEST_P(MaintenanceTest, CrashAtEveryGcStepBoundaryRecovers) {
     bool reached = false;
     for (int tick = 0; tick < 3000 && !reached; ++tick) {
       ftl->IdleTick();
-      reached = base->gc_phase() == target;
+      reached = base->maintenance().phase() == target;
     }
     // Under light GC demand a phase may not be reachable this round; the
     // crash must be sound either way.
     ftl->CrashAndRecover();
-    EXPECT_EQ(base->gc_phase(), GcPhase::kIdle);
+    EXPECT_EQ(base->maintenance().phase(), GcPhase::kIdle);
     shadow.VerifyAll();
     // Operation resumes correctly after abandoning the collection.
     for (int i = 0; i < 400; ++i) shadow.Write(workload.NextLpn());
@@ -186,7 +186,7 @@ TEST_P(MaintenanceTest, RandomCrashChurnAcrossIncrementalCollections) {
     for (uint64_t i = 0; i < burst; ++i) shadow.Write(zipf.NextLpn());
     uint64_t ticks = rng.Uniform(12);
     for (uint64_t t = 0; t < ticks; ++t) ftl->IdleTick();
-    if (base->gc_phase() != GcPhase::kIdle) ++mid_flight_crashes;
+    if (base->maintenance().phase() != GcPhase::kIdle) ++mid_flight_crashes;
     ftl->CrashAndRecover();
     shadow.VerifySample(rng, 32);
   }
@@ -226,7 +226,7 @@ TEST_P(MaintenanceTest, CostBenefitPolicyRunsCorrectly) {
     c.gc_policy = GcPolicy::kCostBenefit;
   });
   BaseFtl* base = AsBase(ftl.get());
-  EXPECT_STREQ(base->victim_policy().Name(), "cost-benefit");
+  EXPECT_STREQ(base->maintenance().victim_policy().Name(), "cost-benefit");
   ShadowHarness shadow(ftl.get(), device.geometry().NumLogicalPages());
   for (Lpn lpn = 0; lpn < shadow.num_lpns(); ++lpn) shadow.Write(lpn);
   HotColdWorkload workload(shadow.num_lpns(), 0.2, 0.8, 29);

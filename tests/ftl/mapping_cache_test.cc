@@ -168,31 +168,6 @@ TEST(MappingCacheTest, ContainsDoesNotTouchLru) {
   EXPECT_EQ(cache.PeekLru(), 1u);
 }
 
-TEST(MappingCacheTest, InsertIfAbsentKeepsExistingEntryUntouched) {
-  MappingCache cache(3);
-  cache.Insert(1, E(1, /*dirty=*/true));
-  MappingEntry* e = cache.InsertIfAbsent(1, E(9));
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->ppa.block, 1u);  // existing entry wins: no overwrite
-  EXPECT_TRUE(e->dirty);
-  EXPECT_EQ(cache.dirty_count(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-
-  MappingEntry* f = cache.InsertIfAbsent(2, E(2));
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->ppa.block, 2u);  // absent: inserted like Insert
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(MappingCacheTest, InsertIfAbsentDoesNotRefreshRecency) {
-  MappingCache cache(3);
-  cache.Insert(1, E(1));
-  cache.Insert(2, E(2));
-  cache.InsertIfAbsent(1, E(9));
-  // The present-entry path is recency-neutral: 1 is still the victim.
-  EXPECT_EQ(cache.PeekLru(), 1u);
-}
-
 // The FtlCounters::cache_misses split: a batched read with N misses on
 // one translation page performs one fetch (miss_fetches) and N-1
 // coalesced joins (miss_joins), and on a read-only workload over written
@@ -290,11 +265,10 @@ TEST(MappingCacheEvictionPolicyTest, MruEntryIsNeverTheVictim) {
 }
 
 TEST(MappingCacheEvictionPolicyTest, MissJoinThenHitSurvivesFullCache) {
-  // End-to-end shape of the InsertIfAbsent miss path under a full cache,
-  // in both eviction modes: fill the cache, make room, insert the fetched
-  // entry (InsertIfAbsent like the replayed miss fill), then verify a
-  // subsequent eviction round never takes the fetched entry out from
-  // under the hit that is about to consume it.
+  // End-to-end shape of the replayed miss fill under a full cache, in
+  // both eviction modes: fill the cache, make room, insert the fetched
+  // entry, then verify a subsequent eviction round never takes the
+  // fetched entry out from under the hit that is about to consume it.
   for (bool hotness_mode : {false, true}) {
     MappingCache cache(4);
     if (hotness_mode) {
@@ -304,7 +278,7 @@ TEST(MappingCacheEvictionPolicyTest, MissJoinThenHitSurvivesFullCache) {
     }
     for (Lpn lpn = 1; lpn <= 4; ++lpn) cache.Insert(lpn, E(lpn));
     while (cache.NeedsEviction()) cache.Erase(cache.PeekEvictionVictim());
-    MappingEntry* fetched = cache.InsertIfAbsent(99, E(9));
+    MappingEntry* fetched = cache.Insert(99, E(9));
     ASSERT_NE(fetched, nullptr);
     ASSERT_TRUE(cache.NeedsEviction());
     EXPECT_NE(cache.PeekEvictionVictim(), 99u) << "hotness=" << hotness_mode;
@@ -332,7 +306,7 @@ TEST(MappingCacheTest, EntryPointerSurvivesOtherInsertsAndErases) {
   constexpr uint32_t kCapacity = 64;
   MappingCache cache(kCapacity);
   MappingEntry* kept = cache.Insert(1000, E(7, /*dirty=*/true));
-  MappingEntry* absent = cache.InsertIfAbsent(1001, E(8));
+  MappingEntry* other = cache.Insert(1001, E(8));
   for (Lpn lpn = 0; cache.size() < kCapacity; ++lpn) cache.Insert(lpn, E(lpn));
   for (Lpn lpn = 0; lpn < kCapacity - 2; lpn += 2) cache.Erase(lpn);
   for (Lpn lpn = 2000; cache.size() < kCapacity; ++lpn) {
@@ -340,10 +314,10 @@ TEST(MappingCacheTest, EntryPointerSurvivesOtherInsertsAndErases) {
   }
   ASSERT_TRUE(cache.NeedsEviction());
   EXPECT_EQ(cache.Find(1000), kept);
-  EXPECT_EQ(cache.InsertIfAbsent(1001, E(9)), absent);
+  EXPECT_EQ(cache.Peek(1001), other);
   EXPECT_EQ(kept->ppa.block, 7u);
   EXPECT_TRUE(kept->dirty);
-  EXPECT_EQ(absent->ppa.block, 8u);
+  EXPECT_EQ(other->ppa.block, 8u);
   kept->uip = true;  // writes through the pointer reach later lookups
   EXPECT_TRUE(cache.Peek(1000)->uip);
 }
@@ -375,11 +349,6 @@ class ReferenceCache {
       it->second.entry.dirty_epoch = epoch_;
     }
     return &it->second.entry;
-  }
-  MappingEntry* InsertIfAbsent(Lpn lpn, const MappingEntry& entry) {
-    auto it = entries_.find(lpn);
-    if (it != entries_.end()) return &it->second.entry;
-    return Insert(lpn, entry);
   }
   bool NeedsEviction() const { return entries_.size() >= capacity_; }
   void SetEvictionPolicy(MappingCache::EvictionScorer scorer,
@@ -584,9 +553,12 @@ TEST_P(MappingCacheDifferentialTest, MatchesReferenceModel) {
       ExpectSameEntry(cache.Peek(lpn), ref.Peek(lpn));
       EXPECT_EQ(cache.Contains(lpn), ref.Contains(lpn));
     } else if (kind < 70) {
-      if (!ref.Contains(lpn)) make_room();
+      // A miss fill: insert only when absent.
       const MappingEntry e = random_entry();
-      ExpectSameEntry(cache.InsertIfAbsent(lpn, e), ref.InsertIfAbsent(lpn, e));
+      if (!ref.Contains(lpn)) {
+        make_room();
+        ExpectSameEntry(cache.Insert(lpn, e), ref.Insert(lpn, e));
+      }
     } else if (kind < 80) {
       if (ref.Contains(lpn)) {
         cache.Erase(lpn);

@@ -142,7 +142,7 @@ TEST_P(TrimTest, TrimFeedsGcVictimSelection) {
 
   uint32_t best = 0;
   for (BlockId b = 0; b < g.num_blocks; ++b) {
-    best = std::max(best, base->InvalidCount(b));
+    best = std::max(best, base->maintenance().InvalidCount(b));
   }
   EXPECT_GE(best, g.pages_per_block - 2) << ftl->Name();
 }
