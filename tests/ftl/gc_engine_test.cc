@@ -187,6 +187,49 @@ TEST_F(GcEngineTest, StepsWalkThePhasesOfOneCollection) {
   ExpectAllLive();
 }
 
+// Reports deferred by a request in flight must reach the store before the
+// erase record obsoletes them; one that lands after it would mark a page
+// of the erased block invalid.
+TEST_F(GcEngineTest, DeferredReportsLandBeforeTheEraseRecord) {
+  for (Lpn lpn = 0; lpn < 40; ++lpn) Write(lpn);
+  for (Lpn lpn = 0; lpn < 4; ++lpn) Write(lpn);
+  const BlockId victim = gc_.SelectVictim();
+  ASSERT_NE(victim, kInvalidU32);
+  while (gc_.phase() != GcPhase::kErase) ASSERT_TRUE(gc_.Step(8).advanced);
+  gc_.BeginRequest(/*defer=*/true);
+  gc_.ReportInvalid({victim, 7});
+  ASSERT_TRUE(gc_.Step(8).erased);
+  gc_.EndRequest();
+  EXPECT_EQ(store_.QueryInvalidPages(victim).Count(), 0u);
+}
+
+// The recovery fence is the first sequence number after recovery, so the
+// first page programmed after it is exactly tracked: a stale copy there
+// with an unidentified before-image is a UIP detection, not an uncertain
+// entry.
+TEST_F(GcEngineTest, FirstPageAfterTheRecoveryFenceIsExactlyTracked) {
+  gc_.set_recovery_fence(device_.CurrentSeq());
+  const PhysicalAddress first = Write(0);
+  for (Lpn lpn = 1; lpn < 16; ++lpn) Write(lpn);
+  // Lpn 0's entry is lost unsynchronized and comes back as a miss that
+  // leaves `first` unidentified.
+  translation_.ResetRamState();
+  SpareArea spare;
+  spare.type = PageType::kUser;
+  spare.key = 0;
+  PhysicalAddress fresh =
+      AllocateAndProgram(&device_, &blocks_, PageType::kUser, kNoStream, spare,
+                         ++version_, IoPurpose::kUserWrite)
+          .addr;
+  translation_.Remap(0, fresh, /*uip=*/true, /*report_before_image=*/true);
+  ASSERT_TRUE(gc_.Collect(first.block));
+  EXPECT_EQ(counters_.uip_detections, 1u);
+  const MappingEntry* entry = translation_.cache().Peek(0);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->uip);
+  EXPECT_FALSE(entry->uncertain);
+}
+
 // --- Pacing ------------------------------------------------------------------
 
 TEST_F(GcEngineTest, ThrottleBandRunsStepsBeforeTheFloor) {
