@@ -207,13 +207,24 @@ TEST_F(GcEngineTest, DeferredReportsLandBeforeTheEraseRecord) {
 // first page programmed after it is exactly tracked: a stale copy there
 // with an unidentified before-image is a UIP detection, not an uncertain
 // entry.
-TEST_F(GcEngineTest, FirstPageAfterTheRecoveryFenceIsExactlyTracked) {
+FtlConfig SmallCacheConfig() {
+  FtlConfig c = EngineConfig();
+  c.cache_capacity = 8;
+  return c;
+}
+
+class GcEngineSmallCacheTest : public GcEngineTest {
+ protected:
+  GcEngineSmallCacheTest() : GcEngineTest(1, SmallCacheConfig()) {}
+};
+
+TEST_F(GcEngineSmallCacheTest, FirstPageAfterTheRecoveryFenceIsExactlyTracked) {
   gc_.set_recovery_fence(device_.CurrentSeq());
   const PhysicalAddress first = Write(0);
+  // Lpn 0 is synchronized and evicted; rewriting it misses the cache and
+  // leaves `first` as its unidentified before-image.
   for (Lpn lpn = 1; lpn < 16; ++lpn) Write(lpn);
-  // Lpn 0's entry is lost unsynchronized and comes back as a miss that
-  // leaves `first` unidentified.
-  translation_.ResetRamState();
+  ASSERT_FALSE(translation_.cache().Contains(0));
   SpareArea spare;
   spare.type = PageType::kUser;
   spare.key = 0;
