@@ -108,7 +108,7 @@ void BM_StoreUpdate(benchmark::State& state) {
 BENCHMARK(BM_StoreUpdate)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MappingCacheMixed(benchmark::State& state) {
-  MappingCache cache(4096);
+  MappingCache cache(4096, /*page_width=*/512);
   Rng rng(4);
   for (auto _ : state) {
     Lpn lpn = static_cast<Lpn>(rng.Uniform(16384));

@@ -18,7 +18,9 @@
 # mutant in turn, rebuilds that test and runs it. It exits non-zero when an
 # entry's TEXT does not occur exactly once in FILE, when a named test fails
 # on the unmutated tree, when a mutant does not compile, or when a mutant
-# marked as killed survives.
+# marked as killed survives. A mutant run gets 10 minutes and 4 GB of
+# address space: one that loops or allocates without bound fails its test
+# instead of starving the machine.
 #
 # Usage, from anywhere in the repository:
 #   scripts/mutants.sh [CATALOGUE]
@@ -109,7 +111,8 @@ for i in "${!ids[@]}"; do
     echo "ERROR ${ids[$i]}: mutant does not compile" >&2
     tail -n 20 "$work/build.log" >&2
     status=1
-  elif (timeout 600 "$build/tests/${verdicts[$i]}"; exit) >/dev/null 2>&1; then
+  elif (ulimit -v 4000000; timeout 600 "$build/tests/${verdicts[$i]}"; exit) \
+      >/dev/null 2>&1; then
     echo "SURVIVED ${ids[$i]}: ${verdicts[$i]} passes with the mutant"
     status=1
   else

@@ -222,39 +222,43 @@ void LogGecko::MaybeMerge() {
 
 std::vector<GeckoEntry> LogGecko::MergeEntries(
     const std::vector<const RunImage*>& participants, bool is_bottom) {
-  // Read every input page (these are the merge's flash reads).
-  std::vector<std::vector<GeckoEntry>> inputs;
+  // Read every input page (these are the merge's flash reads). The inputs
+  // are the run images' own entries: merged from in place, not copied.
+  std::vector<const std::vector<GeckoEntry>*> inputs;
   inputs.reserve(participants.size());
+  size_t total = 0;
   for (const RunImage* run : participants) {
     stats_.merge_reads += run->NumDataPages();
-    inputs.push_back(storage_.ReadAllEntries(*run));
+    inputs.push_back(&storage_.ReadAllEntries(*run));
+    total += inputs.back()->size();
   }
 
   // K-way merge by key; inputs[0] is the newest. For equal keys, start
   // from the newest entry and absorb older ones (Algorithm 3).
   std::vector<size_t> pos(inputs.size(), 0);
   std::vector<GeckoEntry> out;
+  out.reserve(total);
   while (true) {
     GeckoKey min_key = 0;
     bool found = false;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      if (pos[i] < inputs[i].size() &&
-          (!found || inputs[i][pos[i]].key < min_key)) {
-        min_key = inputs[i][pos[i]].key;
+      const std::vector<GeckoEntry>& in = *inputs[i];
+      if (pos[i] < in.size() && (!found || in[pos[i]].key < min_key)) {
+        min_key = in[pos[i]].key;
         found = true;
       }
     }
     if (!found) break;
 
-    GeckoEntry merged;
     bool first = true;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      if (pos[i] < inputs[i].size() && inputs[i][pos[i]].key == min_key) {
+      const std::vector<GeckoEntry>& in = *inputs[i];
+      if (pos[i] < in.size() && in[pos[i]].key == min_key) {
         if (first) {
-          merged = std::move(inputs[i][pos[i]]);
+          out.push_back(in[pos[i]]);
           first = false;
         } else {
-          merged.AbsorbOlder(inputs[i][pos[i]]);
+          out.back().AbsorbOlder(in[pos[i]]);
         }
         ++pos[i];
       }
@@ -263,10 +267,9 @@ std::vector<GeckoEntry> LogGecko::MergeEntries(
       // No older runs remain below this output: erase flags have nothing
       // left to mask and empty entries carry no information (DESIGN.md
       // deviation 4).
-      merged.erase_flag = false;
-      if (merged.bits.None()) continue;
+      out.back().erase_flag = false;
+      if (out.back().bits.None()) out.pop_back();
     }
-    out.push_back(std::move(merged));
   }
   return out;
 }
@@ -407,24 +410,19 @@ std::vector<uint32_t> LogGecko::ReconstructInvalidCounts() {
 
   // Gather per-key resolved entries by replaying recency order.
   std::map<GeckoKey, GeckoEntry> resolved;
-  auto absorb_source = [&](std::vector<GeckoEntry> entries) {
-    for (GeckoEntry& e : entries) {
-      auto it = resolved.find(e.key);
-      if (it == resolved.end()) {
-        resolved.emplace(e.key, std::move(e));
-      } else {
-        it->second.AbsorbOlder(e);
-      }
+  auto absorb = [&](const GeckoEntry& e) {
+    auto it = resolved.find(e.key);
+    if (it == resolved.end()) {
+      resolved.emplace(e.key, e);
+    } else {
+      it->second.AbsorbOlder(e);
     }
   };
-  std::vector<GeckoEntry> buffered;
-  buffered.reserve(buffer_.size());
-  for (const auto& [key, entry] : buffer_) buffered.push_back(entry);
-  absorb_source(std::move(buffered));
+  for (const auto& [key, entry] : buffer_) absorb(entry);
   for (RunId id : LiveRunsNewestFirst()) {
     const RunImage* run = storage_.Find(id);
     GECKO_CHECK(run != nullptr);
-    absorb_source(storage_.ReadAllEntries(*run));
+    for (const GeckoEntry& e : storage_.ReadAllEntries(*run)) absorb(e);
   }
   for (const auto& [key, entry] : resolved) {
     counts[GeckoKeyBlock(key, s)] += static_cast<uint32_t>(entry.bits.Count());

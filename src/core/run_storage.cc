@@ -111,7 +111,8 @@ void RunStorage::ReadPageEntries(const RunImage& run, size_t page_index,
   }
 }
 
-std::vector<GeckoEntry> RunStorage::ReadAllEntries(const RunImage& run) {
+const std::vector<GeckoEntry>& RunStorage::ReadAllEntries(
+    const RunImage& run) {
   for (const PhysicalAddress& addr : run.directory.pages) {
     device_->ReadPage(addr, IoPurpose::kPvm);
   }

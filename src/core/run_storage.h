@@ -93,8 +93,9 @@ class RunStorage {
                        GeckoKey hi, std::vector<GeckoEntry>* out);
 
   /// Reads all entries of `run`, charging one flash read per data page.
-  /// Used by merges and by BVC reconstruction during recovery.
-  std::vector<GeckoEntry> ReadAllEntries(const RunImage& run);
+  /// Used by merges and by BVC reconstruction during recovery. The entries
+  /// are the run image's own, valid until the run is discarded.
+  const std::vector<GeckoEntry>& ReadAllEntries(const RunImage& run);
 
   /// Discards a superseded run: releases its image and tells the allocator
   /// its pages are obsolete (so fully-invalid Gecko blocks can be erased).

@@ -93,7 +93,7 @@ class BaseFtl : public Ftl, private AsyncHost {
 
   /// Forces one full GC collection cycle (tests/benchmarks), resuming the
   /// in-flight incremental collection if one exists. False when nothing
-  /// was collectable, or (a gc_force_skips count) GC was already running.
+  /// was collectable.
   bool ForceGc() override { return gc_.Collect(); }
 
   /// One background-maintenance tick inside its own device batch window;

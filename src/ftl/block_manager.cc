@@ -37,7 +37,10 @@ void BlockManager::SetActive(PhysicalAddress& slot, PhysicalAddress value) {
     --active_refs_[slot.block];
   }
   if (value.IsValid()) ++active_refs_[value.block];
+  const PhysicalAddress old = slot;
   slot = value;
+  if (old.IsValid()) Changed(old.block);
+  if (value.IsValid() && value.block != old.block) Changed(value.block);
 }
 
 std::vector<PhysicalAddress>& BlockManager::ActivesFor(PageType type) {
@@ -134,6 +137,7 @@ void BlockManager::OnMetadataPageInvalidated(PhysicalAddress addr) {
       << "metadata invalidation on non-metadata block " << addr.ToString();
   GECKO_CHECK_GT(meta_live_[addr.block], 0u);
   --meta_live_[addr.block];
+  Changed(addr.block);
   if (auto_erase_metadata_) MaybeEraseMetadataBlock(addr.block);
 }
 
@@ -144,6 +148,7 @@ void BlockManager::OnProgramFailed(PhysicalAddress addr) {
   if (type == PageType::kTranslation || type == PageType::kPvm) {
     GECKO_CHECK_GT(meta_live_[addr.block], 0u);
     --meta_live_[addr.block];
+    Changed(addr.block);
   }
   bad_blocks_.OnProgramFailed(addr.block);
   if (!bad_blocks_.ShouldRetire(addr.block)) return;
@@ -189,6 +194,7 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
     block_type_[block] = PageType::kFree;
     block_temp_[block] = 0;
     meta_live_[block] = 0;
+    Changed(block);
     return false;
   }
   if (!device_->TryEraseBlock(block, purpose)) {
@@ -197,6 +203,7 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
     block_type_[block] = PageType::kFree;
     block_temp_[block] = 0;
     meta_live_[block] = 0;
+    Changed(block);
     return false;
   }
   bad_blocks_.OnBlockErased(block);
@@ -206,7 +213,12 @@ bool BlockManager::EraseOrRetire(BlockId block, IoPurpose purpose) {
 
 void BlockManager::Pin(BlockId block, uint64_t seq) {
   auto it = pinned_.find(block);
-  if (it == pinned_.end() || it->second < seq) pinned_[block] = seq;
+  if (it == pinned_.end()) {
+    pinned_.emplace(block, seq);
+    Changed(block);
+  } else if (it->second < seq) {
+    it->second = seq;
+  }
 }
 
 void BlockManager::UnpinThrough(uint64_t seq) {
@@ -214,6 +226,7 @@ void BlockManager::UnpinThrough(uint64_t seq) {
     if (it->second <= seq) {
       BlockId block = it->first;
       it = pinned_.erase(it);
+      Changed(block);
       // The pin may have been the only thing delaying an erase.
       if (auto_erase_metadata_ && block_type_[block] != PageType::kUser &&
           block_type_[block] != PageType::kFree) {
@@ -230,6 +243,7 @@ void BlockManager::OnBlockErased(BlockId block) {
   block_temp_[block] = 0;
   meta_live_[block] = 0;
   PushFreeBlock(block);
+  Changed(block);
 }
 
 std::vector<BlockId> BlockManager::BlocksOfType(PageType type) const {
@@ -255,6 +269,7 @@ void BlockManager::ResetRamState() {
   // Pending retirement marks are lost with the RAM; blocks already retired
   // persist in the medium and PushFreeBlock keeps refusing them.
   bad_blocks_.ResetRamState();
+  for (BlockId b = 0; b < block_type_.size(); ++b) Changed(b);
 }
 
 void BlockManager::RecoverFromBid(const std::vector<BidEntry>& bid) {
@@ -277,6 +292,7 @@ void BlockManager::RecoverFromBid(const std::vector<BidEntry>& bid) {
   for (BlockId b = 0; b < bid.size(); ++b) {
     const BidEntry& e = bid[b];
     block_type_[b] = e.type;
+    Changed(b);
     if (e.type == PageType::kFree) {
       PushFreeBlock(b);
       continue;
@@ -323,6 +339,7 @@ void BlockManager::RecoverMetadataLiveCounts(
     GECKO_CHECK(block_type_[addr.block] == PageType::kTranslation ||
                 block_type_[addr.block] == PageType::kPvm);
     ++meta_live_[addr.block];
+    Changed(addr.block);
   }
 }
 

@@ -24,7 +24,9 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "flash/flash_device.h"
@@ -70,6 +72,15 @@ class BlockManager : public PageAllocator {
   /// over-provisioning margins. Normal-path writes keep striping.
   void set_compact_mode(bool on) { compact_mode_ = on; }
   bool compact_mode() const { return compact_mode_; }
+
+  /// Registers the one observer of block state (the GC engine's victim
+  /// index): called with a block after its type, its active or pinned
+  /// state, or its metadata live count changed. An empty function clears
+  /// it.
+  using BlockObserver = std::function<void(BlockId)>;
+  void set_block_observer(BlockObserver observer) {
+    observer_ = std::move(observer);
+  }
 
   // --- Block bookkeeping -------------------------------------------------
 
@@ -152,6 +163,10 @@ class BlockManager : public PageAllocator {
   /// Every change of a slot's block goes through here.
   void SetActive(PhysicalAddress& slot, PhysicalAddress value);
   void PushFreeBlock(BlockId block);
+  /// Tells the observer, if any, that `block`'s state changed.
+  void Changed(BlockId block) {
+    if (observer_) observer_(block);
+  }
   void MaybeEraseMetadataBlock(BlockId block);
   IoPurpose ErasePurposeFor(PageType type) const;
 
@@ -182,6 +197,7 @@ class BlockManager : public PageAllocator {
   std::map<BlockId, uint64_t> pinned_;  // block -> pin sequence
   uint64_t metadata_blocks_erased_ = 0;
   uint32_t free_pool_low_ = ~0u;
+  BlockObserver observer_;
 };
 
 }  // namespace gecko

@@ -42,7 +42,6 @@ struct FtlCounters {
   /// GC migrations whose survivor landed one temperature class colder
   /// than its victim (hot/cold stream separation; 0 with one class).
   uint64_t gc_demotions = 0;
-  uint64_t gc_force_skips = 0;    // ForceGc calls refused (GC re-entrancy)
   uint64_t uip_detections = 0;    // invalid pages caught by the GC UIP check
   uint64_t cache_hits = 0;        // mapping-cache hits
   uint64_t cache_misses = 0;      // mapping-cache misses (all of them)
@@ -90,7 +89,6 @@ inline constexpr FtlCounterField kFtlCounterFields[] = {
     {"gc_collections", &FtlCounters::gc_collections, false},
     {"gc_migrations", &FtlCounters::gc_migrations, false},
     {"gc_demotions", &FtlCounters::gc_demotions, false},
-    {"gc_force_skips", &FtlCounters::gc_force_skips, false},
     {"uip_detections", &FtlCounters::uip_detections, false},
     {"cache_hits", &FtlCounters::cache_hits, false},
     {"cache_misses", &FtlCounters::cache_misses, false},
@@ -236,9 +234,9 @@ class Ftl {
 
   /// Forces one full garbage-collection cycle (tests and benchmarks),
   /// resuming a mid-flight incremental collection if one exists. Returns
-  /// false — and counts a gc_force_skips — when the request was refused
-  /// because GC was already executing (re-entrant call); callers that
-  /// depend on a collection having happened must check the result.
+  /// false when nothing was collectable (every non-free block active,
+  /// pinned or all-live); callers that depend on a collection having
+  /// happened must check the result.
   virtual bool ForceGc() = 0;
 
   /// One background-maintenance tick: the host is idle, so the FTL may run

@@ -10,6 +10,22 @@ namespace {
 /// each throttled write; one GC step costs one credit.
 constexpr double kCreditsPerDeficit = 1.0;
 
+/// Migration reserve: collecting a victim with live pages consumes free
+/// blocks transiently before the erase nets one back — a compact-mode
+/// destination block, a translation block (mapping updates during the
+/// migration can evict dirty cache entries and commit their pages), and a
+/// PVM block for the invalidation/erase records. On a healthy medium every
+/// erase returns the victim, so the emergency loop always nets blocks back
+/// and the transient dip is safe. Once the medium has retired blocks,
+/// erases can fail and net nothing, so the pool can only shrink: below the
+/// reserve, only fully-invalid victims are safe to collect. If none exist
+/// the spare capacity is genuinely exhausted and the caller degrades
+/// instead of letting an allocation CHECK out of blocks.
+constexpr uint32_t kMigrationReserve = 4;
+
+/// CandidateValid's answer for a block the policy cannot choose.
+constexpr uint32_t kNotCandidate = ~uint32_t{0};
+
 #ifdef GECKO_DEBUG_GC_GROUND_TRUTH
 /// Ground-truth invariant for every invalidation report: a strictly newer
 /// on-flash copy of the page's lpn must exist somewhere on the device, or
@@ -59,6 +75,25 @@ GcEngine::GcEngine(FlashDevice* device, BlockManager* blocks,
   if (config.wear_leveling) {
     wear_ = std::make_unique<WearLeveler>(device, config.wear_gap_threshold);
   }
+  if (config.gc_policy != GcPolicy::kCostBenefit) {
+    const Geometry& g = device->geometry();
+    const uint32_t channels = g.num_channels;
+    blocks_per_channel_ = (g.num_blocks + channels - 1) / channels;
+    const uint64_t universe =
+        (uint64_t{g.pages_per_block} + 1) * blocks_per_channel_;
+    GECKO_CHECK_LT(universe, uint64_t{OrderedIdSet::kNone})
+        << "victim index keys overflow";
+    candidates_.assign(channels,
+                       OrderedIdSet(static_cast<uint32_t>(universe)));
+    candidate_key_.assign(g.num_blocks, OrderedIdSet::kNone);
+    RebuildCandidates();
+    blocks_->set_block_observer(
+        [this](BlockId block) { UpdateCandidate(block); });
+  }
+}
+
+GcEngine::~GcEngine() {
+  if (!candidates_.empty()) blocks_->set_block_observer(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -79,6 +114,7 @@ void GcEngine::ReportInvalid(PhysicalAddress addr) {
   // so merely bounded here).
   if (bvc_[addr.block] < device_->geometry().pages_per_block) {
     ++bvc_[addr.block];
+    if (!candidates_.empty()) UpdateCandidate(addr.block);
   }
   if (addr.block == fresh_victim_) fresh_invalid_.Set(addr.page);
 }
@@ -148,10 +184,8 @@ GcStepOutcome GcEngine::Step(uint32_t max_migrations, BlockId victim) {
 }
 
 bool GcEngine::Collect(BlockId victim) {
-  if (in_gc_) {
-    ++counters_->gc_force_skips;
-    return false;
-  }
+  // ForceGc, the emergency floor and the wear scan all run between steps.
+  GECKO_CHECK(!in_gc_) << "Collect called from inside a GC step";
   for (;;) {
     GcStepOutcome o = Step(~uint32_t{0}, victim);
     if (!o.advanced) return false;
@@ -159,40 +193,88 @@ bool GcEngine::Collect(BlockId victim) {
   }
 }
 
-BlockId GcEngine::SelectVictim() const {
-  // One linear scan through the pluggable policy object. The paper's
-  // kNeverCollectMetadata (and cost-benefit) restrict the candidate set
-  // to user blocks (Section 4.2); greedy-all admits metadata blocks.
-  const Geometry& g = device_->geometry();
-  const uint64_t now_seq = device_->CurrentSeq();
-  // Migration reserve: collecting a victim with live pages consumes free
-  // blocks transiently before the erase nets one back — a compact-mode
-  // destination block, a translation block (mapping updates during the
-  // migration can evict dirty cache entries and commit their pages), and
-  // a PVM block for the invalidation/erase records. On a healthy medium
-  // every erase returns the victim, so the emergency loop always nets
-  // blocks back and the transient dip is safe. Once the medium has
-  // retired blocks, erases can fail and net nothing, so the pool can only
-  // shrink: below the reserve, only fully-invalid victims are safe to
-  // collect. If none exist the spare capacity is genuinely exhausted and
-  // the caller degrades instead of letting an allocation CHECK out of
+bool GcEngine::MigrationSafe() const {
+  return device_->NumBadBlocks() == 0 ||
+         blocks_->NumFreeBlocks() >= kMigrationReserve;
+}
+
+uint32_t GcEngine::CandidateValid(BlockId b) const {
+  // The paper's kNeverCollectMetadata (and cost-benefit) restrict the
+  // candidate set to user blocks (Section 4.2); greedy-all admits metadata
   // blocks.
-  constexpr uint32_t kMigrationReserve = 4;
-  const bool migration_safe = device_->NumBadBlocks() == 0 ||
-                              blocks_->NumFreeBlocks() >= kMigrationReserve;
-  return SelectGcVictim(
-      g.num_blocks, *victim_policy_, [&](BlockId b, GcVictimCandidate* c) {
-        PageType type = blocks_->BlockType(b);
-        if (type == PageType::kFree) return false;
-        if (blocks_->IsActive(b) || blocks_->IsPinned(b)) return false;
-        if (!collects_metadata_ && type != PageType::kUser) return false;
-        uint32_t written = device_->PagesWritten(b);
-        uint32_t invalid = type == PageType::kUser
+  const PageType type = blocks_->BlockType(b);
+  if (type == PageType::kFree) return kNotCandidate;
+  if (!collects_metadata_ && type != PageType::kUser) return kNotCandidate;
+  if (blocks_->IsActive(b) || blocks_->IsPinned(b)) return kNotCandidate;
+  const uint32_t written = device_->PagesWritten(b);
+  const uint32_t invalid = type == PageType::kUser
                                ? bvc_[b]
                                : written - blocks_->MetadataLivePages(b);
-        c->valid = written >= invalid ? written - invalid : 0;
-        if (!migration_safe && c->valid > 0) return false;
-        c->written = written;
+  return written >= invalid ? written - invalid : 0;
+}
+
+void GcEngine::UpdateCandidate(BlockId block) {
+  const uint32_t valid = CandidateValid(block);
+  const uint32_t channels = device_->num_channels();
+  const uint32_t key = valid == kNotCandidate
+                           ? OrderedIdSet::kNone
+                           : valid * blocks_per_channel_ + block / channels;
+  uint32_t& current = candidate_key_[block];
+  if (key == current) return;
+  OrderedIdSet& set = candidates_[device_->ChannelOf(block)];
+  if (current != OrderedIdSet::kNone) set.Erase(current);
+  if (key != OrderedIdSet::kNone) set.Insert(key);
+  current = key;
+}
+
+void GcEngine::RebuildCandidates() {
+  if (candidates_.empty()) return;
+  for (OrderedIdSet& set : candidates_) set.Clear();
+  std::fill(candidate_key_.begin(), candidate_key_.end(), OrderedIdSet::kNone);
+  for (BlockId b = 0; b < candidate_key_.size(); ++b) UpdateCandidate(b);
+}
+
+BlockId GcEngine::SelectVictim() const {
+  if (candidates_.empty()) return ScanVictim();
+  // SelectGcVictim's order over each channel's best candidate: fewest
+  // valid pages, then the least-busy channel clock, then the lowest id.
+  const bool migration_safe = MigrationSafe();
+  const uint32_t channels = device_->num_channels();
+  BlockId best = kInvalidU32;
+  uint32_t best_valid = 0;
+  double best_busy = 0;
+  for (ChannelId c = 0; c < channels; ++c) {
+    const uint32_t key = candidates_[c].First();
+    if (key == OrderedIdSet::kNone) continue;
+    const uint32_t valid = key / blocks_per_channel_;
+    if (!migration_safe && valid > 0) continue;
+    const BlockId block = key % blocks_per_channel_ * channels + c;
+    const double busy = device_->ChannelBusyUntilUs(c);
+    if (best == kInvalidU32 || valid < best_valid ||
+        (valid == best_valid &&
+         (busy < best_busy || (busy == best_busy && block < best)))) {
+      best = block;
+      best_valid = valid;
+      best_busy = busy;
+    }
+  }
+#ifdef GECKO_DEBUG_GC_GROUND_TRUTH
+  GECKO_CHECK_EQ(best, ScanVictim()) << "victim index diverged from the scan";
+#endif
+  return best;
+}
+
+BlockId GcEngine::ScanVictim() const {
+  const Geometry& g = device_->geometry();
+  const uint64_t now_seq = device_->CurrentSeq();
+  const bool migration_safe = MigrationSafe();
+  return SelectGcVictim(
+      g.num_blocks, *victim_policy_, [&](BlockId b, GcVictimCandidate* c) {
+        const uint32_t valid = CandidateValid(b);
+        if (valid == kNotCandidate) return false;
+        if (!migration_safe && valid > 0) return false;
+        c->valid = valid;
+        c->written = device_->PagesWritten(b);
         c->pages_per_block = g.pages_per_block;
         uint64_t last = device_->LastProgramSeq(b);
         c->age = now_seq >= last ? now_seq - last : 0;
@@ -501,6 +583,7 @@ void GcEngine::ResetRamState() {
   GECKO_CHECK(pending_invalid_.empty() && !defer_reports_)
       << "power failure inside a batched request";
   std::fill(bvc_.begin(), bvc_.end(), 0u);
+  RebuildCandidates();
   cursor_ = GcCursor{};
   fresh_victim_ = kInvalidU32;
   fresh_invalid_ = Bitmap();
@@ -515,6 +598,7 @@ void GcEngine::RecoverBvc(const std::vector<uint32_t>& counts) {
       bvc_[block] = std::min(counts[block], pages);
     }
   }
+  RebuildCandidates();
 }
 
 }  // namespace gecko

@@ -12,6 +12,10 @@
 //     grouped reports (kFlush) -> erase record + physical erase (kErase);
 //   - victim selection through the pluggable policy, the UIP check,
 //     migration and erase, and the wear-leveling scan (Appendix D);
+//   - the greedy victim index: per channel, the candidate blocks ordered
+//     by (valid pages, block id), kept current by the BVC updates here and
+//     by the block manager's block-state hook, so a greedy selection reads
+//     one candidate per channel instead of scanning the device;
 //   - the pacing of MaintenanceConfig's watermark ladder. Background steps
 //     run on idle ticks below the soft watermark, preferring victims on
 //     idle channels. Below the hard watermark user writes pay bounded steps
@@ -42,6 +46,7 @@
 #include "ftl/wear_leveler.h"
 #include "pvm/page_validity_store.h"
 #include "util/bitmap.h"
+#include "util/ordered_id_set.h"
 
 namespace gecko {
 
@@ -73,11 +78,15 @@ class GcEngine {
  public:
   /// Takes the watermark ladder from `config.maintenance`, clamped so
   /// that soft >= hard >= the emergency floor. Counts gc_collections,
-  /// gc_migrations, gc_demotions, gc_force_skips and uip_detections in
-  /// `counters`.
+  /// gc_migrations, gc_demotions and uip_detections in `counters`. Under a
+  /// greedy policy the engine observes `blocks` for its victim index.
   GcEngine(FlashDevice* device, BlockManager* blocks, PageValidityStore* store,
            TranslationLayer* translation, const FtlConfig& config,
            FtlCounters* counters);
+  ~GcEngine();
+  // The block manager's hook holds this engine's address.
+  GcEngine(const GcEngine&) = delete;
+  GcEngine& operator=(const GcEngine&) = delete;
 
   // --- Invalidation reports and the BVC ----------------------------------
 
@@ -105,13 +114,16 @@ class GcEngine {
   GcStepOutcome Step(uint32_t max_migrations, BlockId victim = kInvalidU32);
   /// Runs one whole collection: the one in flight, else one of `victim` or
   /// the policy's choice. True once a block was erased; false when nothing
-  /// was collectable, or (counted as a gc_force_skip) the call was
-  /// re-entrant.
+  /// was collectable. Must not be called from inside a GC step.
   bool Collect(BlockId victim = kInvalidU32);
   /// The policy's victim, or kInvalidU32 when no candidate exists (every
   /// non-free block active, pinned or all-live, or grown bad blocks
-  /// retired the spare capacity).
+  /// retired the spare capacity). Greedy policies read it from the victim
+  /// index; cost-benefit, whose age term moves with every program, scans.
   BlockId SelectVictim() const;
+  /// The same choice by one SelectGcVictim scan over every block: the
+  /// cost-benefit path, and the reference the victim index must match.
+  BlockId ScanVictim() const;
   /// Erases `block` through the device, dropping stale translation images
   /// first, and returns it to the free pool — unless the block is marked
   /// for retirement or its erase faults, in which case it is retired.
@@ -143,7 +155,8 @@ class GcEngine {
 
   /// Drops the BVC, the cursor, the victim mirror and the pacing credits.
   void ResetRamState();
-  /// Sets the BVC of every user block from the store's counts.
+  /// Sets the BVC of every user block from the store's counts and
+  /// rebuilds the victim index with it.
   void RecoverBvc(const std::vector<uint32_t>& counts);
   /// Device sequence at the end of the last recovery. Pages written before
   /// it may carry invalidations whose buffered reports died with the crash
@@ -168,6 +181,18 @@ class GcEngine {
     /// Next page offset of the victim to examine.
     uint32_t next_page = 0;
   };
+
+  /// Whether a victim with live pages may be collected (see the migration
+  /// reserve in gc_engine.cc).
+  bool MigrationSafe() const;
+  /// Live pages `block` would cost as a victim, or kNotCandidate when the
+  /// policy cannot choose it: free, active, pinned, or a metadata block
+  /// the policy never collects.
+  uint32_t CandidateValid(BlockId block) const;
+  /// Re-keys `block` in the victim index from its current state; called
+  /// whenever anything CandidateValid reads of it may have changed.
+  void UpdateCandidate(BlockId block);
+  void RebuildCandidates();
 
   /// Starts a collection of `victim`: counts it, snapshots the validity
   /// bitmap (user blocks), and arms the fresh-invalidation mirror.
@@ -199,6 +224,13 @@ class GcEngine {
   bool in_gc_ = false;  // guards re-entrant step execution
   /// BVC: identified-invalid pages per block (user blocks only).
   std::vector<uint32_t> bvc_;
+  /// Greedy victim index (empty under cost-benefit): per channel, the
+  /// candidates keyed by valid * blocks_per_channel_ + block / channels,
+  /// so a channel's first member is its fewest-valid, lowest-id candidate.
+  std::vector<OrderedIdSet> candidates_;
+  /// Each block's key in its channel's set, or OrderedIdSet::kNone.
+  std::vector<uint32_t> candidate_key_;
+  uint32_t blocks_per_channel_ = 0;
   /// While a user block is being collected, invalidation reports can still
   /// arrive for it (synchronizations triggered by migration-driven cache
   /// evictions identify before-images lazily). The GC query's bitmap was

@@ -4,8 +4,10 @@
 
 namespace gecko {
 
-MappingCache::MappingCache(uint32_t capacity) : capacity_(capacity) {
+MappingCache::MappingCache(uint32_t capacity, uint32_t page_width)
+    : capacity_(capacity), page_width_(page_width) {
   GECKO_CHECK_GT(capacity, 0u);
+  GECKO_CHECK_GT(page_width, 0u);
   GECKO_CHECK_LT(capacity, 1u << 30);
   uint32_t bits = kRunBits + 1;
   while ((1u << bits) < 2 * capacity) ++bits;
@@ -17,8 +19,8 @@ MappingCache::MappingCache(uint32_t capacity) : capacity_(capacity) {
 
 uint32_t MappingCache::Home(Lpn lpn) const {
   // Fibonacci hashing of the lpn's run of 2^kRunBits consecutive lpns; the
-  // run's lpns get consecutive home slots, so DirtyInRange's probes of one
-  // translation page share cache lines instead of touching one each.
+  // run's lpns get consecutive home slots, so the lookups of a request's
+  // consecutive lpns share cache lines instead of touching one each.
   const uint64_t run = ((lpn >> kRunBits) * 0x9E3779B97F4A7C15ull) >> shift_;
   return static_cast<uint32_t>(run << kRunBits) |
          (lpn & ((1u << kRunBits) - 1));
@@ -43,6 +45,23 @@ void MappingCache::LinkAtMru(uint32_t n) {
   node.next = kNil;
   (mru_ == kNil ? lru_ : nodes_[mru_].next) = n;
   mru_ = n;
+}
+
+void MappingCache::LinkToPage(uint32_t n) {
+  Node& node = nodes_[n];
+  const uint32_t page = PageOf(node.lpn);
+  if (page >= page_head_.size()) page_head_.resize(uint64_t{page} + 1, kNil);
+  node.page_prev = kNil;
+  node.page_next = page_head_[page];
+  if (node.page_next != kNil) nodes_[node.page_next].page_prev = n;
+  page_head_[page] = n;
+}
+
+void MappingCache::UnlinkFromPage(uint32_t n) {
+  const Node& node = nodes_[n];
+  (node.page_prev == kNil ? page_head_[PageOf(node.lpn)]
+                          : nodes_[node.page_prev].page_next) = node.page_next;
+  if (node.page_next != kNil) nodes_[node.page_next].page_prev = node.page_prev;
 }
 
 MappingEntry* MappingCache::Find(Lpn lpn) {
@@ -76,6 +95,7 @@ MappingEntry* MappingCache::Insert(Lpn lpn, const MappingEntry& entry) {
   node.entry = entry;
   node.lpn = lpn;
   LinkAtMru(n);
+  LinkToPage(n);
   index_[slot] = Slot{lpn, n};
   ++size_;
   if (entry.dirty) {
@@ -134,30 +154,31 @@ void MappingCache::Erase(Lpn lpn) {
     --dirty_count_;
   }
   Unlink(n);
+  UnlinkFromPage(n);
   nodes_[n].next = free_;
   free_ = n;
   --size_;
   EraseSlot(slot);
 }
 
-std::vector<Lpn> MappingCache::DirtyInRange(Lpn lo, Lpn hi) const {
-  std::vector<Lpn> out;
-  if (lo > hi) return out;
-  if (uint64_t{hi} - lo < size_) {
-    // No wider than the cache: probing each lpn yields lpn order directly.
-    for (uint64_t lpn = lo; lpn <= hi; ++lpn) {
-      const Slot& slot = index_[Probe(static_cast<Lpn>(lpn))];
-      if (slot.node != kNil && nodes_[slot.node].entry.dirty) {
-        out.push_back(static_cast<Lpn>(lpn));
-      }
-    }
-    return out;
+std::vector<Lpn> MappingCache::DirtyInPage(uint32_t page) const {
+  std::vector<Lpn> dirty;
+  if (page >= page_head_.size()) return dirty;
+  uint32_t visited = 0;
+  for (uint32_t n = page_head_[page]; n != kNil; n = nodes_[n].page_next) {
+    // A chain holds at most every cached entry; more means a corrupt link.
+    GECKO_CHECK_LE(++visited, size_) << "page " << page << " chain loops";
+    if (nodes_[n].entry.dirty) dirty.push_back(nodes_[n].lpn);
   }
+  // A page's chain runs in insertion order, newest first.
+  std::sort(dirty.begin(), dirty.end());
+  return dirty;
+}
+
+std::vector<Lpn> MappingCache::DirtyLpns() const {
+  std::vector<Lpn> out;
   for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
-    const Node& node = nodes_[n];
-    if (node.entry.dirty && node.lpn >= lo && node.lpn <= hi) {
-      out.push_back(node.lpn);
-    }
+    if (nodes_[n].entry.dirty) out.push_back(nodes_[n].lpn);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -190,6 +211,10 @@ std::vector<Lpn> MappingCache::TakeCheckpoint() {
 }
 
 void MappingCache::Reset() {
+  // Only the pages of cached entries have heads to clear.
+  for (uint32_t n = lru_; n != kNil; n = nodes_[n].next) {
+    page_head_[PageOf(nodes_[n].lpn)] = kNil;
+  }
   nodes_.clear();  // keeps the reserved capacity
   std::fill(index_.begin(), index_.end(), Slot{});
   lru_ = mru_ = free_ = kNil;

@@ -15,16 +15,15 @@
 // stays valid until that lpn is erased. An open-addressing
 // index (a power-of-two table of at least 2C slots, linear probing,
 // backward-shift deletion) maps lpn -> node, so every lookup, insert and
-// erase is O(1). Each run of eight consecutive lpns hashes to eight
-// consecutive home slots (64 bytes), so probing a range of lpns touches
-// few cache lines. Intrusive prev/next links through the slab order
+// erase is O(1). Intrusive prev/next links through the slab order
 // entries by recency (LRU end first).
 //
 // Synchronization operations flush all dirty entries of one translation
-// page together (footnote 6). DirtyInRange returns them in lpn order: it
-// probes each lpn of the range when the range is no wider than the number
-// of cached entries (one translation page is a few hundred lpns), and
-// otherwise walks the entries and sorts the matches.
+// page together (footnote 6). A second pair of intrusive links chains the
+// entries of each translation page (lpn / page_width) from a flat array of
+// list heads indexed by page, so Insert and Erase keep the chains in O(1)
+// and DirtyInPage visits only that page's cached entries, however wide
+// the page and however large the cache.
 //
 // Checkpoints (Section 4.3) are tracked by a per-entry dirtying epoch
 // rather than symbols in the LRU queue; see TakeCheckpoint.
@@ -57,7 +56,9 @@ struct MappingEntry {
 
 class MappingCache {
  public:
-  explicit MappingCache(uint32_t capacity);
+  /// `page_width` is the number of mappings per translation page: lpn l
+  /// belongs to page l / page_width.
+  MappingCache(uint32_t capacity, uint32_t page_width);
 
   /// Looks up `lpn` and refreshes its recency. Returns nullptr on miss.
   MappingEntry* Find(Lpn lpn);
@@ -100,13 +101,12 @@ class MappingCache {
   /// Removes `lpn` from the cache.
   void Erase(Lpn lpn);
 
-  /// Dirty entries whose lpn lies in [lo, hi], in lpn order — the entries
-  /// one synchronization operation flushes together.
-  std::vector<Lpn> DirtyInRange(Lpn lo, Lpn hi) const;
+  /// Dirty entries of translation page `page`, in lpn order — the entries
+  /// one synchronization operation flushes together. Visits only the
+  /// page's cached entries.
+  std::vector<Lpn> DirtyInPage(uint32_t page) const;
   /// Every dirty entry, in lpn order.
-  std::vector<Lpn> DirtyLpns() const {
-    return DirtyInRange(0, std::numeric_limits<Lpn>::max());
-  }
+  std::vector<Lpn> DirtyLpns() const;
 
   /// Oldest dirty entry in LRU order (for the dirty-entry cap of LazyFTL
   /// and IB-FTL). Returns false if there are no dirty entries.
@@ -175,6 +175,8 @@ class MappingCache {
     Lpn lpn = 0;
     uint32_t prev = kNil;  // toward LRU
     uint32_t next = kNil;  // toward MRU; the free-list link once erased
+    uint32_t page_prev = kNil;  // the chain of lpn's translation page
+    uint32_t page_next = kNil;
   };
   /// One index slot; node == kNil marks it empty.
   struct Slot {
@@ -188,8 +190,12 @@ class MappingCache {
   void EraseSlot(uint32_t slot);
   void Unlink(uint32_t n);
   void LinkAtMru(uint32_t n);
+  uint32_t PageOf(Lpn lpn) const { return lpn / page_width_; }
+  void LinkToPage(uint32_t n);
+  void UnlinkFromPage(uint32_t n);
 
   uint32_t capacity_;
+  uint32_t page_width_;
   std::vector<Node> nodes_;  // slab, reserved to capacity_
   std::vector<Slot> index_;
   uint32_t mask_ = 0;   // index_.size() - 1
@@ -197,6 +203,9 @@ class MappingCache {
   uint32_t lru_ = kNil;
   uint32_t mru_ = kNil;
   uint32_t free_ = kNil;  // erased nodes, linked through Node::next
+  /// Head node of each translation page's chain (kNil: none cached),
+  /// grown on demand to the highest page inserted.
+  std::vector<uint32_t> page_head_;
   uint32_t size_ = 0;
   uint32_t dirty_count_ = 0;
   uint64_t epoch_ = 1;

@@ -14,7 +14,7 @@ TranslationLayer::TranslationLayer(FlashDevice* device, BlockManager* blocks,
     : device_(device),
       counters_(counters),
       table_(device->geometry(), device, blocks),
-      cache_(config.cache_capacity),
+      cache_(config.cache_capacity, table_.entries_per_page()),
       report_invalid_(std::move(report_invalid)),
       page_replaced_(std::move(page_replaced)),
       dirty_cap_(config.DirtyCap()),
@@ -53,8 +53,7 @@ void TranslationLayer::CacheFetched(Lpn lpn, PhysicalAddress ppa) {
 }
 
 void TranslationLayer::Sync(TPageId tpage) {
-  std::vector<Lpn> dirty =
-      cache_.DirtyInRange(table_.FirstLpnOf(tpage), table_.LastLpnOf(tpage));
+  std::vector<Lpn> dirty = cache_.DirtyInPage(tpage);
   if (dirty.empty()) return;
   ++counters_->sync_ops;
 

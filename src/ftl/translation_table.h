@@ -32,10 +32,6 @@ class TranslationTable {
   uint32_t entries_per_page() const { return entries_per_page_; }
   uint32_t num_tpages() const { return num_tpages_; }
   TPageId TPageOf(Lpn lpn) const { return lpn / entries_per_page_; }
-  Lpn FirstLpnOf(TPageId t) const { return t * entries_per_page_; }
-  Lpn LastLpnOf(TPageId t) const {
-    return t * entries_per_page_ + entries_per_page_ - 1;
-  }
 
   /// Whether translation page `t` has ever been written to flash.
   bool Exists(TPageId t) const { return gmd_[t].IsValid(); }

@@ -4,14 +4,19 @@
 // bitmap of B bits. std::vector<bool> is avoided for its proxy-reference
 // quirks; this class stores whole 64-bit words and supports the bitwise-OR
 // merge that Algorithm 3 of the paper requires.
+//
+// Up to kInlineBits bits live inside the object, so a Gecko entry or a GC
+// query of a block of at most that many pages allocates nothing; larger
+// bitmaps keep their words on the heap.
 
 #ifndef GECKOFTL_UTIL_BITMAP_H_
 #define GECKOFTL_UTIL_BITMAP_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "util/check.h"
 
@@ -20,55 +25,77 @@ namespace gecko {
 /// Bitmap with a fixed number of bits chosen at construction.
 class Bitmap {
  public:
+  /// Bitmaps of at most this many bits keep their words inline.
+  static constexpr size_t kInlineBits = 128;
+
   Bitmap() : num_bits_(0) {}
-  explicit Bitmap(size_t num_bits)
-      : num_bits_(num_bits), words_((num_bits + 63) / 64, 0) {}
+  explicit Bitmap(size_t num_bits) : num_bits_(num_bits) {
+    if (!inline_storage()) words_.heap = new uint64_t[num_words()];
+    std::fill_n(words(), num_words(), uint64_t{0});
+  }
+  Bitmap(const Bitmap& other) : num_bits_(other.num_bits_) {
+    if (!inline_storage()) words_.heap = new uint64_t[num_words()];
+    std::copy_n(other.words(), num_words(), words());
+  }
+  /// Leaves `other` empty (zero bits).
+  Bitmap(Bitmap&& other) noexcept
+      : num_bits_(other.num_bits_), words_(other.words_) {
+    other.num_bits_ = 0;
+  }
+  Bitmap& operator=(Bitmap other) noexcept {
+    std::swap(num_bits_, other.num_bits_);
+    std::swap(words_, other.words_);
+    return *this;
+  }
+  ~Bitmap() {
+    if (!inline_storage()) delete[] words_.heap;
+  }
 
   size_t size() const { return num_bits_; }
 
   bool Test(size_t i) const {
     GECKO_CHECK_LT(i, num_bits_);
-    return (words_[i / 64] >> (i % 64)) & 1u;
+    return (words()[i / 64] >> (i % 64)) & 1u;
   }
 
   void Set(size_t i) {
     GECKO_CHECK_LT(i, num_bits_);
-    words_[i / 64] |= uint64_t{1} << (i % 64);
+    words()[i / 64] |= uint64_t{1} << (i % 64);
   }
 
   void Clear(size_t i) {
     GECKO_CHECK_LT(i, num_bits_);
-    words_[i / 64] &= ~(uint64_t{1} << (i % 64));
+    words()[i / 64] &= ~(uint64_t{1} << (i % 64));
   }
 
-  void Reset() {
-    for (uint64_t& w : words_) w = 0;
-  }
+  void Reset() { std::fill_n(words(), num_words(), uint64_t{0}); }
 
   /// Bitwise-OR merge with another bitmap of the same size (Algorithm 3).
   void OrWith(const Bitmap& other) {
     GECKO_CHECK_EQ(num_bits_, other.num_bits_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+    uint64_t* mine = words();
+    const uint64_t* theirs = other.words();
+    for (size_t i = 0; i < num_words(); ++i) mine[i] |= theirs[i];
   }
 
   /// Number of set bits (the paper's "hamming weight", Appendix C step 5).
   size_t Count() const {
     size_t n = 0;
-    for (uint64_t w : words_) n += std::popcount(w);
+    const uint64_t* w = words();
+    for (size_t i = 0; i < num_words(); ++i) n += std::popcount(w[i]);
     return n;
   }
 
   bool Any() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
+    const uint64_t* w = words();
+    return std::any_of(w, w + num_words(), [](uint64_t x) { return x != 0; });
   }
 
   bool None() const { return !Any(); }
 
   bool operator==(const Bitmap& other) const {
-    return num_bits_ == other.num_bits_ && words_ == other.words_;
+    return num_bits_ == other.num_bits_ &&
+           std::equal(words(), words() + num_words(), other.words());
   }
 
   /// Copies bits [offset, offset+chunk.size()) from `chunk` into this bitmap.
@@ -98,8 +125,22 @@ class Bitmap {
   }
 
  private:
+  static constexpr size_t kInlineWords = kInlineBits / 64;
+
+  size_t num_words() const { return (num_bits_ + 63) / 64; }
+  bool inline_storage() const { return num_bits_ <= kInlineBits; }
+  uint64_t* words() { return inline_storage() ? words_.local : words_.heap; }
+  const uint64_t* words() const {
+    return inline_storage() ? words_.local : words_.heap;
+  }
+
   size_t num_bits_;
-  std::vector<uint64_t> words_;
+  /// The inline words, or the heap array once num_bits_ > kInlineBits.
+  /// Trivially copyable, so moves and swaps copy it whole.
+  union Words {
+    uint64_t local[kInlineWords];
+    uint64_t* heap;
+  } words_{};
 };
 
 }  // namespace gecko

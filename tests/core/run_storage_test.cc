@@ -86,8 +86,9 @@ TEST_F(RunStorageTest, ReadAllEntriesChargesPerPage) {
   const RunImage& run =
       storage_.WriteRun(0, MakeEntries({1, 2, 3, 4, 5, 6, 7, 8, 9}), {});
   uint64_t reads_before = device_.stats().counters().TotalReads();
-  std::vector<GeckoEntry> all = storage_.ReadAllEntries(run);
+  const std::vector<GeckoEntry>& all = storage_.ReadAllEntries(run);
   EXPECT_EQ(all.size(), 9u);
+  EXPECT_EQ(&all, &run.entries);  // handed out in place, not copied
   EXPECT_EQ(device_.stats().counters().TotalReads() - reads_before,
             run.NumDataPages());
 }

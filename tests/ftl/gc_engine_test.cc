@@ -74,6 +74,13 @@ class GcEngineTest : public ::testing::Test {
     }
   }
 
+  /// The victim index's choice, checked against the scan's.
+  BlockId Victim() {
+    const BlockId victim = gc_.SelectVictim();
+    EXPECT_EQ(victim, gc_.ScanVictim());
+    return victim;
+  }
+
   /// Full, inactive user blocks and the lpns each one holds.
   std::map<BlockId, std::vector<Lpn>> FullUserBlocks() {
     std::map<BlockId, std::vector<Lpn>> out;
@@ -110,6 +117,16 @@ class GcEngineTwoChannelTest : public GcEngineTest {
       device_.ReadPage({block, 0}, IoPurpose::kOther);
     }
   }
+
+  /// Leaves both channel clocks equal: one read on each in one batch
+  /// window, started when both channels are idle.
+  void EvenClocks(BlockId ch0_block, BlockId ch1_block) {
+    device_.BeginBatch();
+    device_.ReadPage({ch0_block, 0}, IoPurpose::kOther);
+    device_.ReadPage({ch1_block, 0}, IoPurpose::kOther);
+    device_.EndBatch();
+    ASSERT_EQ(device_.ChannelBusyUntilUs(0), device_.ChannelBusyUntilUs(1));
+  }
 };
 
 TEST_F(GcEngineTwoChannelTest, GreedyOrderIsValidPagesThenIdleChannelThenId) {
@@ -129,21 +146,46 @@ TEST_F(GcEngineTwoChannelTest, GreedyOrderIsValidPagesThenIdleChannelThenId) {
   // Fewest valid pages first, whatever the channel or id.
   invalidate(ch1[1], 5);
   invalidate(ch0[0], 3);
-  EXPECT_EQ(gc_.SelectVictim(), ch1[1]);
+  EXPECT_EQ(Victim(), ch1[1]);
 
   // Equal valid pages on two channels: the idler channel's block.
   invalidate(ch0[0], 5);
   Busy(ch1[1]);
-  EXPECT_EQ(gc_.SelectVictim(), ch0[0]);
+  EXPECT_EQ(Victim(), ch0[0]);
   Busy(ch0[0]);
-  EXPECT_EQ(gc_.SelectVictim(), ch1[1]);
+  EXPECT_EQ(Victim(), ch1[1]);
 
   // Equal valid pages on one channel, the other one busier: the lower
   // block id.
   invalidate(ch1[0], 5);
   Busy(ch0[0]);
   ASSERT_LT(ch1[0], ch1[1]);
-  EXPECT_EQ(gc_.SelectVictim(), ch1[0]);
+  EXPECT_EQ(Victim(), ch1[0]);
+}
+
+TEST_F(GcEngineTwoChannelTest, EqualValidPagesAndClocksPickTheLowestId) {
+  for (Lpn lpn = 0; lpn < 80; ++lpn) Write(lpn);
+  std::map<BlockId, std::vector<Lpn>> full = FullUserBlocks();
+  std::vector<BlockId> ch0, ch1;
+  for (const auto& [b, lpns] : full) {
+    (device_.ChannelOf(b) == 0 ? ch0 : ch1).push_back(b);
+  }
+  ASSERT_GE(ch0.size(), 2u);
+  ASSERT_GE(ch1.size(), 1u);
+  auto invalidate = [&](BlockId b, int n) {
+    for (int i = 0; i < n; ++i) Write(full[b][i]);
+  };
+  // The channel-1 block has the lower id of the two.
+  ASSERT_LT(ch1[0], ch0[1]);
+  invalidate(ch0[1], 5);
+  invalidate(ch1[0], 5);
+  EvenClocks(ch0[1], ch1[0]);
+  EXPECT_EQ(Victim(), ch1[0]);
+  // Now a channel-0 block has the lowest id.
+  ASSERT_LT(ch0[0], ch1[0]);
+  invalidate(ch0[0], 5);
+  EvenClocks(ch0[0], ch1[0]);
+  EXPECT_EQ(Victim(), ch0[0]);
 }
 
 // --- One collection --------------------------------------------------------
@@ -298,12 +340,30 @@ class GcEngineRetiredBlockTest : public GcEngineTest {
 TEST_F(GcEngineRetiredBlockTest, NoVictimMeansSpaceIsExhausted) {
   Lpn lpn = 0;
   while (blocks_.NumFreeBlocks() > 2) Write(lpn++);  // every page live
-  EXPECT_EQ(gc_.SelectVictim(), kInvalidU32);
+  EXPECT_EQ(Victim(), kInvalidU32);
   EXPECT_FALSE(gc_.Step(8).advanced);
   EXPECT_FALSE(gc_.BeforeUserWrite());
   EXPECT_EQ(gc_.stats().emergency_stalls, 1u);
   EXPECT_EQ(counters_.gc_collections, 0u);
   ExpectAllLive();
+}
+
+// The migration reserve: with a retired block and fewer free blocks than
+// the reserve, a victim with live pages is passed over, however few.
+TEST_F(GcEngineRetiredBlockTest, BelowTheReserveOnlyFullyInvalidVictims) {
+  Lpn lpn = 0;
+  while (blocks_.NumFreeBlocks() > 3) Write(lpn++);
+  std::map<BlockId, std::vector<Lpn>> full = FullUserBlocks();
+  ASSERT_FALSE(full.empty());
+  const BlockId block = full.begin()->first;
+  const std::vector<Lpn> lpns = full.begin()->second;
+  for (size_t i = 0; i + 1 < lpns.size(); ++i) Write(lpns[i]);
+  ASSERT_GT(device_.NumBadBlocks(), 0u);
+  ASSERT_LT(blocks_.NumFreeBlocks(), 4u);
+  EXPECT_EQ(Victim(), kInvalidU32);  // one live page left
+  Write(lpns.back());
+  ASSERT_LT(blocks_.NumFreeBlocks(), 4u);
+  EXPECT_EQ(Victim(), block);
 }
 
 }  // namespace

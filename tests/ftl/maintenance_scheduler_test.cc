@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "ftl/gc_victim_policy.h"
 #include "ftl/gc_engine.h"
@@ -125,15 +130,19 @@ TEST_P(MaintenanceTest, BackgroundTicksRefillThePoolToTheSoftWatermark) {
   shadow.VerifyAll();
 }
 
-TEST_P(MaintenanceTest, ForceGcReportsSkipWhenReentrant) {
+TEST_P(MaintenanceTest, ForceGcRunsOneWholeCollection) {
   FlashDevice device(Geo());
   auto ftl = MakeFtl(FtlName(), &device, 96, IncrementalTweak);
+  auto* base = dynamic_cast<BaseFtl*>(ftl.get());
+  ASSERT_NE(base, nullptr);
   ShadowHarness shadow(ftl.get(), device.geometry().NumLogicalPages());
   for (Lpn lpn = 0; lpn < shadow.num_lpns(); ++lpn) shadow.Write(lpn);
-  // Normal call: a full cycle runs and reports success.
+  // A collection already in flight is finished, not started afresh.
+  const bool in_flight = base->maintenance().phase() != GcPhase::kIdle;
+  const uint64_t collections = ftl->counters().gc_collections;
   EXPECT_TRUE(ftl->ForceGc());
-  EXPECT_EQ(ftl->counters().gc_force_skips, 0u);
-  EXPECT_GT(ftl->counters().gc_collections, 0u);
+  EXPECT_EQ(ftl->counters().gc_collections, collections + (in_flight ? 0 : 1));
+  EXPECT_EQ(base->maintenance().phase(), GcPhase::kIdle);
   shadow.VerifyAll();
 }
 
@@ -238,6 +247,156 @@ TEST_P(MaintenanceTest, CostBenefitPolicyRunsCorrectly) {
 }
 
 GECKO_INSTANTIATE_CHANNEL_FTL_SUITE(MaintenanceTest);
+
+// --- The greedy victim index against the scan -------------------------------
+
+/// (FTL name, channel count, temperature classes).
+using VictimIndexParam = std::tuple<std::string, uint32_t, uint32_t>;
+
+class VictimIndexTest : public ::testing::TestWithParam<VictimIndexParam> {};
+
+// The index must name the victim the SelectGcVictim scan names after every
+// request of a churn that moves every input of the choice: BVC reports,
+// active slots opening and closing, pins (GeckoFTL), metadata live counts
+// and metadata victims (the kGreedyAll baselines), trims, collections, a
+// grown bad block (which arms the migration reserve) and crash recovery.
+// After the grown bad block some FTLs degrade to read-only mode and refuse
+// writes (the migration reserve admits fully-invalid victims only); the
+// index must match the scan in that state too.
+TEST_P(VictimIndexTest, MatchesTheScanAfterEveryRequest) {
+  const auto [name, channels, classes] = GetParam();
+  const uint64_t seed = FuzzSeed(27);
+  GECKO_TRACE_FUZZ_SEED(seed);
+  FlashDevice device(FtlTestGeometry(channels));
+  auto ftl = MakeFtl(name, &device, 96, [classes = classes](FtlConfig& c) {
+    IncrementalTweak(c);
+    c.num_temp_classes = classes;
+  });
+  BaseFtl* base = AsBase(ftl.get());
+  const GcEngine& gc = base->maintenance();
+  const BlockManager& blocks = base->block_manager();
+  const Lpn num_lpns = static_cast<Lpn>(device.geometry().NumLogicalPages());
+  Rng rng(seed);
+
+  uint64_t checks = 0;
+  uint64_t metadata_victims = 0;
+  uint32_t most_pinned = 0;
+  auto check = [&] {
+    const BlockId victim = gc.SelectVictim();
+    ASSERT_EQ(victim, gc.ScanVictim()) << "after check " << checks;
+    ++checks;
+    if (victim != kInvalidU32 && blocks.BlockType(victim) != PageType::kUser) {
+      ++metadata_victims;
+    }
+    most_pinned = std::max(most_pinned, blocks.NumPinned());
+  };
+
+  // What every accepted write or trim left; only degraded mode refuses.
+  std::unordered_map<Lpn, uint64_t> shadow;
+  uint64_t version = 0;
+  auto submit = [&](IoOp op, const std::vector<Lpn>& lpns) {
+    IoRequest request(op);
+    for (Lpn lpn : lpns) request.Add(lpn, FtlExperiment::Token(lpn, ++version));
+    IoResult result;
+    const Status s = ftl->Submit(request, &result);
+    for (size_t e = 0; e < request.extents.size(); ++e) {
+      const Status& status = s.ok() ? result.extent_status[e] : s;
+      if (!status.ok()) {
+        ASSERT_EQ(status.code(), StatusCode::kOutOfSpace) << status.ToString();
+        ASSERT_TRUE(ftl->IsDegraded());
+        continue;
+      }
+      const IoExtent& x = request.extents[e];
+      if (op == IoOp::kTrim) {
+        shadow.erase(x.lpn);
+      } else {
+        shadow[x.lpn] = x.payload;
+      }
+    }
+  };
+  auto verify = [&] {
+    for (const auto& [lpn, token] : shadow) {
+      uint64_t got = 0;
+      ASSERT_TRUE(ftl->Read(lpn, &got).ok()) << "lpn " << lpn;
+      ASSERT_EQ(got, token) << "lpn " << lpn;
+    }
+  };
+
+  for (Lpn lpn = 0; lpn < num_lpns; ++lpn) {
+    if (rng.Uniform(10) < 9) submit(IoOp::kWrite, {lpn});
+  }
+  ASSERT_FALSE(HasFatalFailure());
+  check();
+  ZipfWorkload zipf(num_lpns, 0.8, seed + 1);
+  bool grown_bad = false;
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      const uint64_t kind = rng.Uniform(20);
+      if (kind == 0) {
+        submit(IoOp::kTrim, {zipf.NextLpn()});
+      } else if (kind == 1) {
+        std::vector<Lpn> lpns;
+        for (int e = 0; e < 6; ++e) lpns.push_back(zipf.NextLpn());
+        submit(IoOp::kWrite, lpns);
+      } else {
+        submit(IoOp::kWrite, {zipf.NextLpn()});
+      }
+      if (HasFatalFailure()) return;
+      check();
+      if (HasFatalFailure()) return;
+    }
+    for (uint64_t t = rng.Uniform(8); t > 0; --t) {
+      ftl->IdleTick();
+      check();
+      if (HasFatalFailure()) return;
+    }
+    if (round == 3) {
+      // The next victim's erase fails: a grown bad block. A collection in
+      // flight finishes first.
+      if (gc.phase() != GcPhase::kIdle) {
+        ASSERT_TRUE(ftl->ForceGc());
+      }
+      const BlockId victim = gc.SelectVictim();
+      ASSERT_NE(victim, kInvalidU32);
+      device.fault_model().ArmEraseFault(victim);
+      ASSERT_TRUE(ftl->ForceGc());
+      grown_bad = device.NumBadBlocks() > 0;
+      check();
+    }
+    if (round % 4 == 2) {
+      ftl->CrashAndRecover();
+      check();
+      verify();
+    }
+    if (HasFatalFailure()) return;
+  }
+  verify();
+  EXPECT_TRUE(grown_bad);
+  EXPECT_GT(checks, 3000u);
+  if (base->config().gc_policy == GcPolicy::kGreedyAll) {
+    EXPECT_GT(metadata_victims, 0u) << "no metadata block was ever chosen";
+  }
+  if (name == "GeckoFTL") {
+    EXPECT_GT(most_pinned, 0u) << "nothing was pinned";
+  }
+}
+
+std::string VictimIndexParamName(
+    const ::testing::TestParamInfo<VictimIndexParam>& info) {
+  std::string name = std::get<0>(info.param);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_ch" + std::to_string(std::get<1>(info.param)) + "_t" +
+         std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFtls, VictimIndexTest,
+    ::testing::Combine(::testing::Values("GeckoFTL", "DFTL", "LazyFTL",
+                                         "uFTL", "IB-FTL"),
+                       ::testing::Values(1u, 4u), ::testing::Values(1u, 2u)),
+    VictimIndexParamName);
 
 }  // namespace
 }  // namespace gecko

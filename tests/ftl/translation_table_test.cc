@@ -39,8 +39,7 @@ TEST_F(TranslationTableTest, GeometryDerivation) {
   EXPECT_EQ(table_.num_tpages(), 1u);
   EXPECT_EQ(table_.TPageOf(0), 0u);
   EXPECT_EQ(table_.TPageOf(88), 0u);
-  EXPECT_EQ(table_.FirstLpnOf(0), 0u);
-  EXPECT_EQ(table_.LastLpnOf(0), 127u);
+  EXPECT_EQ(table_.TPageOf(128), 1u);
 }
 
 TEST_F(TranslationTableTest, LookupOnMissingTPageIsFreeAndNull) {
