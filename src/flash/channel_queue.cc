@@ -42,20 +42,8 @@ const FlashSubmission& ChannelQueue::Submit(uint64_t id, FlashOpKind kind,
                                             PhysicalAddress addr,
                                             IoPurpose purpose, double now_us) {
   pending_.push_back(Stamp(id, kind, addr, purpose, now_us));
+  if (pending_.size() == 1) front_us_ = pending_.back().complete_us;
   return pending_.back();
-}
-
-void ChannelQueue::TakePending(std::vector<FlashSubmission>* out) {
-  out->insert(out->end(), pending_.begin(), pending_.end());
-  pending_.clear();
-}
-
-void ChannelQueue::TakeCompletedUntil(double until_us,
-                                      std::vector<FlashSubmission>* out) {
-  while (!pending_.empty() && pending_.front().complete_us <= until_us) {
-    out->push_back(pending_.front());
-    pending_.pop_front();
-  }
 }
 
 ChannelArray::ChannelArray(uint32_t num_channels, LatencyModel latency) {
@@ -85,62 +73,6 @@ FlashSubmission ChannelArray::SubmitImmediate(ChannelId c, FlashOpKind kind,
                                            now_us_);
   now_us_ = std::max(now_us_, sub.complete_us);
   return sub;
-}
-
-namespace {
-// Retirement order: global completion time; ties (e.g. equal-latency ops
-// started together on different channels) break by submission id so the
-// order is deterministic.
-void SortByCompletion(std::vector<FlashSubmission>* subs) {
-  std::sort(subs->begin(), subs->end(),
-            [](const FlashSubmission& a, const FlashSubmission& b) {
-              if (a.complete_us != b.complete_us) {
-                return a.complete_us < b.complete_us;
-              }
-              return a.id < b.id;
-            });
-}
-}  // namespace
-
-ChannelArray::DrainResult ChannelArray::Drain(
-    std::vector<FlashSubmission>* completed) {
-  std::vector<FlashSubmission> pending;
-  for (ChannelQueue& ch : channels_) ch.TakePending(&pending);
-
-  DrainResult result;
-  result.max_queue_depth = max_depth_since_drain_;
-  max_depth_since_drain_ = 0;
-  if (pending.empty()) return result;
-
-  SortByCompletion(&pending);
-
-  double finish = now_us_;
-  for (const FlashSubmission& sub : pending) {
-    finish = std::max(finish, sub.complete_us);
-    if (completed != nullptr) completed->push_back(sub);
-    ++result.ops;
-  }
-  result.elapsed_us = finish - now_us_;
-  now_us_ = finish;
-  return result;
-}
-
-ChannelArray::DrainResult ChannelArray::DrainUntil(
-    double until_us, std::vector<FlashSubmission>* completed) {
-  std::vector<FlashSubmission> due;
-  for (ChannelQueue& ch : channels_) ch.TakeCompletedUntil(until_us, &due);
-  SortByCompletion(&due);
-
-  DrainResult result;
-  result.max_queue_depth = max_depth_since_drain_;  // still accumulating
-  result.ops = due.size();
-  if (completed != nullptr) {
-    completed->insert(completed->end(), due.begin(), due.end());
-  }
-  double finish = std::max(now_us_, until_us);
-  result.elapsed_us = finish - now_us_;
-  now_us_ = finish;
-  return result;
 }
 
 }  // namespace gecko

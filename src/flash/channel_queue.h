@@ -20,8 +20,9 @@
 //      complete times (start = max(device clock, channel busy-until)) and
 //      parked on its channel's queue.
 //   2. Drain(): all parked submissions retire in global completion-time
-//      order, handed back as completed records, and the device clock
-//      advances to the batch makespan end. FlashDevice drains after every
+//      order — a merge of the channel FIFOs, each already in that order —
+//      handed to a callback one by one, and the device clock advances to
+//      the batch makespan end. FlashDevice drains after every
 //      op outside a batch window (serial semantics, identical to the
 //      pre-channel model) and once per window inside
 //      BeginBatch()/EndBatch().
@@ -29,8 +30,11 @@
 #ifndef GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 #define GECKOFTL_FLASH_CHANNEL_QUEUE_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "flash/geometry.h"
@@ -81,7 +85,7 @@ class ChannelQueue {
                         IoPurpose purpose, double now_us);
 
   /// Stamps and parks one operation on the queue. Returns the stamped
-  /// submission record (stable until the next TakePending).
+  /// submission record (stable until it is drained).
   const FlashSubmission& Submit(uint64_t id, FlashOpKind kind,
                                 PhysicalAddress addr, IoPurpose purpose,
                                 double now_us);
@@ -102,22 +106,22 @@ class ChannelQueue {
   /// Service latency of `kind` under this channel's latency model.
   double LatencyFor(FlashOpKind kind) const;
 
-  /// Moves every parked submission into `*out` (queue order) and empties
-  /// the queue. The caller (ChannelArray) merges channels into global
-  /// completion order.
-  void TakePending(std::vector<FlashSubmission>* out);
-
-  /// Moves the parked submissions that complete at or before `until_us`
-  /// into `*out`, leaving later ones queued. Valid because the queue is
-  /// FIFO behind one busy-until clock: complete times are nondecreasing
-  /// in queue order, so the due prefix is exactly the front of the deque.
-  void TakeCompletedUntil(double until_us,
-                          std::vector<FlashSubmission>* out);
+  /// The oldest parked op, its completion time (+infinity when none) and
+  /// its removal. One busy-until clock keeps the FIFO in (complete_us, id)
+  /// order, so ChannelArray merges the channels without sorting.
+  const FlashSubmission& front() const { return pending_.front(); }
+  double front_us() const { return front_us_; }
+  void PopFront() {
+    pending_.pop_front();
+    front_us_ = pending_.empty() ? std::numeric_limits<double>::infinity()
+                                 : pending_.front().complete_us;
+  }
 
  private:
   ChannelId id_;
   LatencyModel latency_;
   std::deque<FlashSubmission> pending_;
+  double front_us_ = std::numeric_limits<double>::infinity();
   double busy_until_us_ = 0;
   double idle_us_ = 0;
 };
@@ -173,7 +177,9 @@ class ChannelArray {
   /// and advances the clock to the completion of the last one.
   /// `completed`, if non-null, receives the retired records in the same
   /// order. Draining an empty pipeline is a no-op.
-  DrainResult Drain(std::vector<FlashSubmission>* completed = nullptr);
+  DrainResult Drain(std::vector<FlashSubmission>* completed = nullptr) {
+    return DrainUntil(std::numeric_limits<double>::infinity(), completed);
+  }
 
   /// Partial drain for reactor-style hosts: retires only the submissions
   /// that complete at or before `until_us` (global completion-time order)
@@ -182,7 +188,46 @@ class ChannelArray {
   /// Drain(), the per-batch depth watermark is left accumulating: the
   /// "batch" is still open from the pipeline's point of view.
   DrainResult DrainUntil(double until_us,
-                         std::vector<FlashSubmission>* completed = nullptr);
+                         std::vector<FlashSubmission>* completed = nullptr) {
+    return Retire(until_us, [completed](const FlashSubmission& sub) {
+      if (completed != nullptr) completed->push_back(sub);
+    });
+  }
+
+  /// DrainUntil(until_us), or Drain() at +infinity, handing each retired op
+  /// to `on_retire(const FlashSubmission&)`. It merges the channel FIFOs,
+  /// each already in (complete_us, id) order, so nothing is sorted; ties
+  /// (equal-latency ops on different channels) go to the earlier one.
+  template <typename OnRetire>
+  DrainResult Retire(double until_us, OnRetire&& on_retire) {
+    const bool all = std::isinf(until_us);
+    DrainResult result;
+    result.max_queue_depth = max_depth_since_drain_;
+    if (all) max_depth_since_drain_ = 0;
+    double last_us = now_us_;
+    for (;;) {
+      ChannelQueue* next = nullptr;
+      double next_us = all ? std::numeric_limits<double>::max() : until_us;
+      for (ChannelQueue& ch : channels_) {
+        const double us = ch.front_us();
+        if (us < next_us ||
+            (us == next_us &&
+             (next == nullptr || ch.front().id < next->front().id))) {
+          next = &ch;
+          next_us = us;
+        }
+      }
+      if (next == nullptr) break;
+      last_us = next_us;
+      on_retire(next->front());
+      next->PopFront();
+      ++result.ops;
+    }
+    const double finish = std::max(now_us_, all ? last_us : until_us);
+    result.elapsed_us = finish - now_us_;
+    now_us_ = finish;
+    return result;
+  }
 
  private:
   std::vector<ChannelQueue> channels_;

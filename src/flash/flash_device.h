@@ -132,7 +132,8 @@ class FlashDevice {
   /// advances the clock to max(now, until_us), leaving later ops queued.
   /// Unlike EndBatch(), the batch window — if any — stays open; the async
   /// engine uses this to let time pass while requests are still in
-  /// flight. A no-op on the clock when `until_us` is in the past.
+  /// flight. A no-op on the clock when `until_us` is in the past;
+  /// +infinity drains everything, as the outermost EndBatch() does.
   BatchResult AdvanceTo(double until_us);
 
   // --- Op attribution scope ----------------------------------------------
@@ -270,14 +271,6 @@ class FlashDevice {
   /// stats, and drains immediately unless a batch window is open.
   void SubmitOp(FlashOpKind kind, PhysicalAddress addr, IoPurpose purpose);
 
-  /// Drains the channel pipeline into IoStats (busy time, completions,
-  /// clock advance).
-  BatchResult DrainChannels();
-
-  /// The stats tail of every drain: charges each retired op's service
-  /// time to its channel and the drain's clock advance to IoStats.
-  void RecordDrain(const BatchResult& drained,
-                   const std::vector<FlashSubmission>& completed);
 
   /// Feeds one stamped submission into the open op scope, if any.
   void NoteScopedOp(const FlashSubmission& sub);

@@ -30,23 +30,25 @@
 // read of the same LPN (RAW), two writes of one LPN (WAW), or two
 // cache-overflowing batches committing the same translation page would
 // otherwise interleave their metadata updates. The engine serializes them
-// with per-key FIFO waiting lists. The
+// with per-key FIFO claim lists in one flat open-addressing lock table. The
 // host computes each request's dependency keys (it knows LPN->translation-
 // page geometry and the cache state); the engine only runs the lock table:
 // a request dispatches when every key it claims is compatible with every
 // earlier claim, and completions re-scan parked requests in admission
 // order. Keys are claimed all-at-once at admission in seq order, so the
 // wait-for graph is acyclic and progress is guaranteed (the earliest
-// in-flight request is always dispatched).
+// in-flight request is always dispatched). Requests and fetches live in
+// reused records and the table's buckets keep their capacity, so a warm
+// engine allocates nothing per request.
 
 #ifndef GECKOFTL_FTL_ASYNC_ENGINE_H_
 #define GECKOFTL_FTL_ASYNC_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "flash/flash_device.h"
@@ -117,10 +119,12 @@ class AsyncHost {
   /// IoStats side).
   virtual void NoteCoalescedMiss() = 0;
 
-  /// The dependency keys `request` must hold while in flight. Called once
-  /// at admission; every non-flush request should include a shared
-  /// kGlobal key so flushes act as full barriers.
-  virtual std::vector<DepKey> DependencyKeys(const IoRequest& request) = 0;
+  /// Appends to `keys` (empty on entry) the dependency keys `request`
+  /// must hold while in flight. Called once at admission; every non-flush
+  /// request should include a shared kGlobal key so flushes act as full
+  /// barriers.
+  virtual void DependencyKeys(const IoRequest& request,
+                              std::vector<DepKey>* keys) = 0;
 };
 
 /// Engine-level event counters (tests assert on these; bench_qd_sweep
@@ -162,9 +166,7 @@ class AsyncEngine {
   /// empties. Returns the number of requests aborted.
   uint64_t AbortAll();
 
-  uint32_t in_flight() const {
-    return static_cast<uint32_t>(requests_.size());
-  }
+  uint32_t in_flight() const { return in_flight_; }
   /// Device time of the earliest pending engine event — a dispatched
   /// request's completion or an in-flight translation fetch whose parked
   /// extents must be replayed (+infinity when neither is pending).
@@ -173,7 +175,7 @@ class AsyncEngine {
   /// Translation fetches currently in flight (waiting-list entries).
   /// Tests assert this drains to zero after DrainAll/AbortAll.
   uint32_t ongoing_fetch_count() const {
-    return static_cast<uint32_t>(ongoing_fetches_.size());
+    return static_cast<uint32_t>(fetch_heap_.size());
   }
 
   uint32_t queue_depth() const { return queue_depth_; }
@@ -185,12 +187,20 @@ class AsyncEngine {
   static Status Validate(const IoRequest& request);
 
  private:
-  struct Inflight {
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  /// A request's claim on the global key (kept out of the table).
+  enum class Global : uint8_t { kNone, kShared, kExclusive };
+
+  /// One request, in a pooled slot; the in-flight ones are linked in
+  /// admission order.
+  struct Slot {
     uint64_t seq = 0;
     IoRequest request;
     CompletionCb on_complete;
     IoResult result;
-    std::vector<DepKey> keys;
+    std::vector<DepKey> keys;  // LPN and translation-page keys
+    Global global = Global::kNone;
     RequestClass cls = RequestClass::kWrite;
     double submit_us = 0;
     double complete_us = 0;
@@ -199,39 +209,98 @@ class AsyncEngine {
     /// Extents parked on translation fetches and not yet replayed. The
     /// request enters the completion heap only when this reaches zero.
     uint32_t unresolved = 0;
+    uint32_t prev = kNone;
+    uint32_t next = kNone;
   };
 
-  /// One in-flight translation-page fetch and the extents parked on it —
-  /// the `ongoing_mapping_operations` map of the EagleTree DFTL scheduler.
+  /// An extent parked on a fetch; `seq` checks that `slot` still holds
+  /// the request that parked it.
   struct Waiter {
-    uint64_t seq = 0;     // parked request
-    size_t extent = 0;    // parked extent within it
+    uint64_t seq = 0;
+    uint32_t slot = kNone;
+    size_t extent = 0;    // parked extent within the request
     double park_us = 0;   // device clock at parking (stall accounting)
   };
-  struct MappingFetch {
-    double complete_us = 0;  // device time the fetch's flash read retires
+  /// One in-flight translation-page fetch and the extents parked on it —
+  /// the `ongoing_mapping_operations` entry of the EagleTree DFTL
+  /// scheduler.
+  struct Fetch {
+    uint64_t tpage = 0;
     std::vector<Waiter> waiters;
   };
 
-  /// A claim parked on one key's FIFO waiting list.
+  /// Reused records with stable addresses (a callback may submit, growing
+  /// the slot pool, while its own slot's result is still being read); the
+  /// pool grows only when no record is free.
+  template <typename T>
+  struct Pool {
+    std::vector<std::unique_ptr<T>> items;
+    std::vector<uint32_t> free;
+    uint32_t Acquire() {
+      if (free.empty()) {
+        items.push_back(std::make_unique<T>());
+        return static_cast<uint32_t>(items.size() - 1);
+      }
+      const uint32_t i = free.back();
+      free.pop_back();
+      return i;
+    }
+    void Release(uint32_t i) { free.push_back(i); }
+    T& operator[](uint32_t i) { return *items[i]; }
+    const T& operator[](uint32_t i) const { return *items[i]; }
+  };
+
+  /// A due-time event, ordered on (us, order): `order` is the request's
+  /// seq or the fetch's tpage, `index` its slot or fetch record.
+  struct Event {
+    double us = 0;
+    uint64_t order = 0;
+    uint32_t index = kNone;
+    bool operator>(const Event& o) const {
+      return us != o.us ? us > o.us : order > o.order;
+    }
+  };
+  using EventHeap =
+      std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
+
   struct Claim {
     uint64_t seq;
     bool exclusive;
   };
-  using KeyId = std::pair<uint8_t, uint64_t>;  // (space, id)
+  /// A lock-table bucket; a freed one keeps its claim list's capacity.
+  struct Bucket {
+    uint64_t id = 0;
+    DepKey::Space space = DepKey::Space::kLpn;
+    bool used = false;
+    std::vector<Claim> claims;
+  };
 
-  /// Whether every key of `r` is compatible with all earlier claims.
-  bool Grantable(const Inflight& r) const;
-  void ClaimKeys(const Inflight& r);
-  void ReleaseKeys(const Inflight& r);
+  /// Whether every key of slot `s` is compatible with all earlier claims.
+  bool Grantable(uint32_t s) const;
+  void ClaimKeys(Slot& r);
+  void ReleaseKeys(const Slot& r);
 
-  /// Services `r` through the host inside the engine window, capturing
-  /// its device-time completion via the op scope. Extents the host parked
-  /// in the miss sink are attached to their translation page's fetch
-  /// (issuing it if absent, coalescing otherwise) instead of completing.
-  void Dispatch(Inflight& r);
-  /// Parks `r`'s missed extents onto their translation-page fetches.
-  void ParkMisses(Inflight& r, const MissSink& sink);
+  // The lock table: open addressing on (space, id), at most half full.
+  // Probe returns the key's bucket or the empty one where it would go.
+  uint32_t Home(DepKey::Space space, uint64_t id) const;
+  uint32_t Probe(const DepKey& key) const;
+  void EraseBucket(uint32_t hole);  // backward shift, no tombstones
+  void ResizeTable(size_t buckets);
+
+  /// Moves slot `s` from the admission list to `held_`: in_flight()
+  /// drops, and the slot stays out of the pool until FreeSlot.
+  void Unlink(uint32_t s);
+  void FreeSlot(uint32_t s);
+  void FreeFetch(uint32_t f);
+  /// With nothing in flight: no claim, fetch or event left, no slot lost.
+  void CheckQuiescent() const;
+
+  /// Services slot `s` through the host inside the engine window,
+  /// capturing its device-time completion via the op scope; extents the
+  /// host parked in the miss sink wait on their translation page's fetch.
+  void Dispatch(uint32_t s);
+  /// Parks slot `s`'s missed extents onto their translation-page fetches.
+  void ParkMisses(uint32_t s);
   /// Replays the parked extents of every fetch due at the current clock,
   /// moving fully-resolved requests onto the completion heap. Returns the
   /// number of fetches retired.
@@ -247,21 +316,30 @@ class AsyncEngine {
   FlashDevice* device_;
   uint32_t queue_depth_;
   uint64_t next_seq_ = 1;
-  /// In-flight requests by admission seq (ordered: abort/park scans are
-  /// deterministic).
-  std::map<uint64_t, Inflight> requests_;
-  std::map<KeyId, std::deque<Claim>> key_claims_;
-  using EventHeap =
-      std::priority_queue<std::pair<double, uint64_t>,
-                          std::vector<std::pair<double, uint64_t>>,
-                          std::greater<std::pair<double, uint64_t>>>;
+  Pool<Slot> slots_;
+  uint32_t head_ = kNone;  // oldest in-flight request
+  uint32_t tail_ = kNone;
+  uint32_t in_flight_ = 0;
+  uint32_t parked_ = 0;  // in flight and not yet dispatched
+  /// Out of the admission list but not yet back in the pool: their
+  /// callbacks are running or about to.
+  uint32_t held_ = 0;
+  std::vector<Bucket> table_;
+  uint32_t table_used_ = 0;
+  uint32_t table_shift_ = 0;
+  uint32_t flushes_ = 0;  // in flight holding the exclusive global key
   /// Pending dispatched completions: min-heap on (complete_us, seq).
   EventHeap completion_heap_;
-  /// In-flight translation fetches keyed by tpage id: at most one fetch
-  /// per translation page is outstanding; later misses join its waiters.
-  std::map<uint64_t, MappingFetch> ongoing_fetches_;
-  /// Due-fetch events: min-heap on (complete_us, tpage).
+  Pool<Fetch> fetches_;
+  /// The in-flight fetch of each translation page (kNone: none), grown to
+  /// the highest page fetched: at most one fetch per translation page is
+  /// outstanding; later misses join its waiters.
+  std::vector<uint32_t> fetch_of_tpage_;
+  /// Due-fetch events, one per in-flight fetch: min-heap on (complete_us,
+  /// tpage).
   EventHeap fetch_heap_;
+  /// Reused by every dispatch.
+  MissSink sink_;
   /// Whether the engine holds its long-lived device batch window open.
   bool pipeline_open_ = false;
   AsyncEngineStats stats_;

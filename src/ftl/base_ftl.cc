@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 namespace gecko {
@@ -120,17 +119,17 @@ bool BaseFtl::CommitsEagerly(const IoRequest& request) const {
          request.extents.size() >= 2 * translation_.cache().capacity();
 }
 
-std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
-  std::vector<DepKey> keys;
+void BaseFtl::DependencyKeys(const IoRequest& request,
+                             std::vector<DepKey>* keys) {
   if (request.op == IoOp::kFlush) {
     // A flush synchronizes every dirty entry: it must see the effects of
     // everything admitted before it and block everything after — a full
     // barrier, expressed as the exclusive side of the global key every
     // other request shares.
-    keys.push_back(DepKey::Global(/*exclusive=*/true));
-    return keys;
+    keys->push_back(DepKey::Global(/*exclusive=*/true));
+    return;
   }
-  keys.push_back(DepKey::Global(/*exclusive=*/false));
+  keys->push_back(DepKey::Global(/*exclusive=*/false));
 
   const uint64_t num_lpns = device_->geometry().NumLogicalPages();
   const bool write_like =
@@ -140,23 +139,23 @@ std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
   // tpage — or a commit racing a miss-path read of it — must serialize.
   const bool eager_commit = CommitsEagerly(request);
 
-  std::vector<std::pair<uint64_t, bool>> lpns;    // (lpn, exclusive)
-  std::vector<std::pair<uint64_t, bool>> tpages;  // (tpage, exclusive)
+  key_lpns_.clear();
+  key_tpages_.clear();
   for (const IoExtent& e : request.extents) {
     if (e.lpn >= num_lpns) continue;  // rejected per-extent; touches nothing
-    lpns.push_back({e.lpn, write_like});
+    key_lpns_.push_back({e.lpn, write_like});
     if (eager_commit) {
-      tpages.push_back({translation_.table().TPageOf(e.lpn), true});
+      key_tpages_.push_back({translation_.table().TPageOf(e.lpn), true});
     } else if (request.op == IoOp::kRead &&
                !translation_.cache().Contains(e.lpn)) {
       // Predicted cache miss: the read will fetch this translation page.
-      tpages.push_back({translation_.table().TPageOf(e.lpn), false});
+      key_tpages_.push_back({translation_.table().TPageOf(e.lpn), false});
     }
   }
 
   // Dedupe each space, merging exclusivity (exclusive wins).
-  auto emit = [&keys](std::vector<std::pair<uint64_t, bool>>* ids,
-                      DepKey::Space space) {
+  auto emit = [keys](std::vector<std::pair<uint64_t, bool>>* ids,
+                     DepKey::Space space) {
     std::sort(ids->begin(), ids->end());
     for (size_t i = 0; i < ids->size();) {
       size_t j = i;
@@ -165,13 +164,12 @@ std::vector<DepKey> BaseFtl::DependencyKeys(const IoRequest& request) {
         exclusive = exclusive || (*ids)[j].second;
         ++j;
       }
-      keys.push_back(DepKey{space, (*ids)[i].first, exclusive});
+      keys->push_back(DepKey{space, (*ids)[i].first, exclusive});
       i = j;
     }
   };
-  emit(&lpns, DepKey::Space::kLpn);
-  emit(&tpages, DepKey::Space::kTranslationPage);
-  return keys;
+  emit(&key_lpns_, DepKey::Space::kLpn);
+  emit(&key_tpages_, DepKey::Space::kTranslationPage);
 }
 
 Status BaseFtl::WriteExtent(Lpn lpn, uint64_t payload, bool tombstone,
@@ -278,7 +276,7 @@ void BaseFtl::WriteBatch(const IoRequest& request, IoResult* result,
   const bool lone = !trim && request.extents.size() == 1;
   gc_.BeginRequest(/*defer=*/!lone);
 
-  std::map<TPageId, std::vector<size_t>> groups;
+  by_tpage_.clear();
   for (size_t i = 0; i < request.extents.size(); ++i) {
     Lpn lpn = request.extents[i].lpn;
     if (lpn >= device_->geometry().NumLogicalPages()) {
@@ -286,21 +284,26 @@ void BaseFtl::WriteBatch(const IoRequest& request, IoResult* result,
           Status::InvalidArgument("lpn beyond logical capacity");
       continue;
     }
-    groups[translation_.table().TPageOf(lpn)].push_back(i);
+    by_tpage_.push_back({translation_.table().TPageOf(lpn), i});
   }
+  std::sort(by_tpage_.begin(), by_tpage_.end());
 
   const bool commit_now = CommitsEagerly(request);
-  for (const auto& [tpage, extent_indices] : groups) {
-    for (size_t i : extent_indices) {
-      const IoExtent& e = request.extents[i];
-      result->extent_status[i] =
-          WriteExtent(e.lpn, trim ? 0 : e.payload, trim, lone);
+  for (size_t g = 0; g < by_tpage_.size(); ++g) {
+    const size_t i = by_tpage_[g].second;
+    const IoExtent& e = request.extents[i];
+    result->extent_status[i] =
+        WriteExtent(e.lpn, trim ? 0 : e.payload, trim, lone);
+    // One synchronization after the page's last extent commits the whole
+    // group's mappings and identifies their before-images off a single
+    // translation-page read (the lazy phase left them flagged UIP, even
+    // for immediate-mode baselines — their per-lpn lookup is what the
+    // batch amortizes away).
+    const TPageId tpage = by_tpage_[g].first;
+    if (commit_now &&
+        (g + 1 == by_tpage_.size() || by_tpage_[g + 1].first != tpage)) {
+      translation_.Sync(tpage);
     }
-    // One synchronization commits the whole group's mappings and
-    // identifies their before-images off a single translation-page read
-    // (the lazy phase left them flagged UIP, even for immediate-mode
-    // baselines — their per-lpn lookup is what the batch amortizes away).
-    if (commit_now) translation_.Sync(tpage);
   }
 
   gc_.EndRequest();
@@ -311,13 +314,9 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
                         MissSink* miss_sink) {
   // Cache misses are grouped by translation page so N missed lpns of the
   // same page cost one translation read instead of N lookups.
-  struct Miss {
-    Lpn lpn;
-    size_t extent;
-  };
-  std::map<TPageId, std::vector<Miss>> misses;
   TranslationTable& table = translation_.table();
-  std::vector<PhysicalAddress> resolved(request.extents.size(), kNullAddress);
+  by_tpage_.clear();
+  resolved_.assign(request.extents.size(), kNullAddress);
   for (size_t i = 0; i < request.extents.size(); ++i) {
     Lpn lpn = request.extents[i].lpn;
     if (lpn >= device_->geometry().NumLogicalPages()) {
@@ -330,20 +329,23 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
     MappingEntry* entry = translation_.Find(lpn);
     if (entry != nullptr) {
       ++counters_.cache_hits;
-      resolved[i] = entry->ppa;
+      resolved_[i] = entry->ppa;
     } else {
       ++counters_.cache_misses;
-      misses[table.TPageOf(lpn)].push_back(Miss{lpn, i});
+      by_tpage_.push_back({table.TPageOf(lpn), i});
     }
   }
+  std::sort(by_tpage_.begin(), by_tpage_.end());
 
-  for (auto& [tpage, group] : misses) {
+  for (size_t begin = 0, end = 0; begin < by_tpage_.size(); begin = end) {
+    const TPageId tpage = by_tpage_[begin].first;
+    while (end < by_tpage_.size() && by_tpage_[end].first == tpage) ++end;
     if (!table.Exists(tpage)) {
       // Nothing to fetch: the translation page was never written, so
       // every lpn on it is unmapped. Resolves identically on every path
       // (in particular, parking such extents would be a wasted stall).
-      for (const Miss& m : group) {
-        result->extent_status[m.extent] =
+      for (size_t g = begin; g < end; ++g) {
+        result->extent_status[by_tpage_[g].second] =
             Status::NotFound("logical page never written");
       }
       continue;
@@ -353,8 +355,9 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
       // coalesced fetch per translation page (across requests, not just
       // within this one) and replays each extent via ResolveParkedExtent
       // when the fetch's device time is reached.
-      for (const Miss& m : group) {
-        miss_sink->parked.push_back(MissSink::ParkedMiss{tpage, m.extent});
+      for (size_t g = begin; g < end; ++g) {
+        miss_sink->parked.push_back(
+            MissSink::ParkedMiss{tpage, by_tpage_[g].second});
       }
       continue;
     }
@@ -365,26 +368,28 @@ void BaseFtl::ReadBatch(const IoRequest& request, IoResult* result,
     // The image is copied: an eviction below can commit and erase the block
     // that holds it.
     ++counters_.miss_fetches;
-    counters_.miss_joins += group.size() - 1;
+    counters_.miss_joins += end - begin - 1;
     std::vector<PhysicalAddress> mappings =
         table.ReadTPage(tpage, IoPurpose::kTranslation);
     device_->AdvanceTo(device_->ChannelBusyUntilUs(
         device_->ChannelOf(table.Location(tpage).block)));
-    for (const Miss& m : group) {
-      PhysicalAddress ppa = mappings[m.lpn % table.entries_per_page()];
+    for (size_t g = begin; g < end; ++g) {
+      const size_t i = by_tpage_[g].second;
+      const Lpn lpn = request.extents[i].lpn;
+      PhysicalAddress ppa = mappings[lpn % table.entries_per_page()];
       if (!ppa.IsValid()) {
-        result->extent_status[m.extent] =
+        result->extent_status[i] =
             Status::NotFound("logical page never written");
         continue;
       }
-      resolved[m.extent] = ppa;
-      translation_.CacheFetched(m.lpn, ppa);
+      resolved_[i] = ppa;
+      translation_.CacheFetched(lpn, ppa);
     }
   }
 
   for (size_t i = 0; i < request.extents.size(); ++i) {
-    if (!result->extent_status[i].ok() || !resolved[i].IsValid()) continue;
-    ReadMappedPage(request, result, i, resolved[i]);
+    if (!result->extent_status[i].ok() || !resolved_[i].IsValid()) continue;
+    ReadMappedPage(request, result, i, resolved_[i]);
   }
 }
 

@@ -24,6 +24,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "flash/flash_device.h"
@@ -174,7 +175,8 @@ class BaseFtl : public Ftl, private AsyncHost {
   /// write batches (WriteBatch's eager per-tpage commit); a global key
   /// that makes kFlush a full barrier (exclusive for flush, shared for
   /// everything else).
-  std::vector<DepKey> DependencyKeys(const IoRequest& request) override;
+  void DependencyKeys(const IoRequest& request,
+                      std::vector<DepKey>* keys) override;
 
   // --- Request servicing ------------------------------------------------
 
@@ -227,6 +229,12 @@ class BaseFtl : public Ftl, private AsyncHost {
   bool degraded_ = false;
   /// Background ticks since the last idle flush (idle_flush_period).
   uint64_t ticks_since_flush_ = 0;
+  // Reused request-path scratch: DependencyKeys' (id, exclusive) lists,
+  // the (tpage, extent) pairs Write/ReadBatch sort to group extents by page.
+  std::vector<std::pair<uint64_t, bool>> key_lpns_;
+  std::vector<std::pair<uint64_t, bool>> key_tpages_;
+  std::vector<std::pair<TPageId, size_t>> by_tpage_;
+  std::vector<PhysicalAddress> resolved_;
   /// The async submission/completion engine (declared after everything it
   /// can reach through the AsyncHost hooks; only stores pointers).
   AsyncEngine engine_;

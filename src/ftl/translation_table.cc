@@ -10,7 +10,8 @@ TranslationTable::TranslationTable(const Geometry& geometry,
       allocator_(allocator),
       entries_per_page_(geometry.MappingEntriesPerTranslationPage()),
       num_tpages_(static_cast<uint32_t>(geometry.NumTranslationPages())),
-      gmd_(num_tpages_, kNullAddress) {}
+      gmd_(num_tpages_, kNullAddress),
+      block_images_(geometry.num_blocks, 0) {}
 
 std::vector<PhysicalAddress> TranslationTable::ReadTPage(TPageId t,
                                                          IoPurpose purpose) {
@@ -54,7 +55,8 @@ PhysicalAddress TranslationTable::CommitTPage(
                                              PageType::kTranslation, t, spare,
                                              t, purpose)
                               .addr;
-  images_[device_->FlatIndex(fresh)] = VersionImage{t, std::move(mappings)};
+  block_images_[fresh.block] += images_.insert_or_assign(
+      device_->FlatIndex(fresh), VersionImage{t, std::move(mappings)}).second;
   gmd_[t] = fresh;
   if (old.IsValid()) {
     allocator_->OnMetadataPageInvalidated(old);
@@ -78,6 +80,9 @@ const std::vector<PhysicalAddress>& TranslationTable::ReadVersion(
 }
 
 void TranslationTable::OnBlockErased(BlockId block) {
+  // Most erased blocks (every user block) never held an image.
+  if (block_images_[block] == 0) return;
+  block_images_[block] = 0;
   uint64_t base = uint64_t{block} * geometry_.pages_per_block;
   for (uint32_t p = 0; p < geometry_.pages_per_block; ++p) {
     images_.erase(base + p);

@@ -118,6 +118,8 @@ class TranslationTable {
   /// flat physical index. Persists across power failure; entries vanish
   /// when their block is erased.
   std::unordered_map<uint64_t, VersionImage> images_;
+  /// Images per block: erasing a block with none (any user block) is free.
+  std::vector<uint32_t> block_images_;
 };
 
 }  // namespace gecko

@@ -264,6 +264,27 @@ TEST(ChannelQueueTest, DrainUntilFiresDueCallbacksInCompletionOrder) {
   EXPECT_EQ(completed[2].id, 1u);
 }
 
+TEST(ChannelQueueTest, CompletionTiesRetireInSubmissionOrder) {
+  ChannelArray channels(4, LatencyModel());
+  // Equal-latency ops started together on four channels finish together.
+  for (ChannelId c : {2u, 0u, 3u, 1u}) {
+    channels.Submit(c, FlashOpKind::kPageRead, {c, 0}, IoPurpose::kUserRead);
+  }
+  channels.Submit(0, FlashOpKind::kPageRead, {0, 1}, IoPurpose::kUserRead);
+  std::vector<FlashSubmission> done;
+  channels.DrainUntil(LatencyModel().page_read_us, &done);
+  ASSERT_EQ(done.size(), 4u);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_EQ(done[i].id, i + 1);
+  EXPECT_EQ(channels.depth(0), 1u);
+  done.clear();
+  channels.Submit(1, FlashOpKind::kPageRead, {1, 1}, IoPurpose::kUserRead);
+  channels.Drain(&done);  // ids 5 and 6, both done at two read latencies
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].id, 5u);
+  EXPECT_EQ(done[1].id, 6u);
+  EXPECT_EQ(done[0].complete_us, done[1].complete_us);
+}
+
 TEST(ChannelQueueTest, DrainUntilPastEverythingMovesClockToUntil) {
   ChannelArray channels(2, LatencyModel());
   channels.Submit(0, FlashOpKind::kPageRead, {0, 0}, IoPurpose::kUserRead);

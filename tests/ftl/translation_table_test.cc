@@ -88,6 +88,12 @@ TEST_F(TranslationTableTest, OnBlockErasedDropsImages) {
   std::vector<PhysicalAddress> m = FreshMappings();
   table_.CommitTPage(0, m, IoPurpose::kTranslation);
   PhysicalAddress loc = table_.Location(0);
+  // Erasing a block that holds no image (a user block) leaves it readable.
+  const BlockId user = blocks_.AllocatePage(PageType::kUser, kNoStream).block;
+  ASSERT_NE(user, loc.block);
+  table_.OnBlockErased(user);
+  EXPECT_EQ(table_.PeekMapping(0), kNullAddress);
+  table_.ReadVersion(loc, IoPurpose::kOther);
   table_.OnBlockErased(loc.block);
   EXPECT_DEATH(table_.ReadVersion(loc, IoPurpose::kOther),
                "no translation page");
