@@ -29,12 +29,12 @@ struct LogGeckoConfig {
   /// S: entry-partitioning factor (Section 3.3). A Gecko entry's B-bit
   /// bitmap is split into S sub-entries of B/S bits each, so a buffered
   /// update only stores the chunk it touched. S must divide B. S=1 means
-  /// no partitioning; the recommended balance is S = B / key_bits.
+  /// no partitioning; the recommended balance is S = B / kKeyBits.
   uint32_t partition_factor = 1;
 
   /// Key size in bits. The sub-entry index is packed into the key field
   /// (as in the paper's S=4, B=128 example), so partitioning adds no bits.
-  uint32_t key_bits = 32;
+  static constexpr uint32_t kKeyBits = 32;
 
   MergePolicy merge_policy = MergePolicy::kTwoWay;
 
@@ -47,7 +47,7 @@ struct LogGeckoConfig {
 
   /// Serialized size of one (sub-)entry in bits: key + chunk + erase flag.
   uint32_t EntryBits(const Geometry& g) const {
-    return key_bits + ChunkBits(g) + 1;
+    return kKeyBits + ChunkBits(g) + 1;
   }
 
   /// V: number of (sub-)entries that fit into one flash page — also the
@@ -58,11 +58,10 @@ struct LogGeckoConfig {
     return v;
   }
 
-  /// The paper's recommended partitioning: S = B / key_bits, clamped to
+  /// The paper's recommended partitioning: S = B / kKeyBits, clamped to
   /// [1, B] and rounded down to a divisor of B (Section 3.3).
-  static uint32_t RecommendedPartitionFactor(const Geometry& g,
-                                             uint32_t key_bits = 32) {
-    uint32_t s = g.pages_per_block / key_bits;
+  static uint32_t RecommendedPartitionFactor(const Geometry& g) {
+    uint32_t s = g.pages_per_block / kKeyBits;
     if (s < 1) s = 1;
     while (g.pages_per_block % s != 0) --s;
     return s;

@@ -1,13 +1,8 @@
 #include "flash/channel_queue.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace gecko {
-
-ChannelQueue::ChannelQueue(ChannelId id, LatencyModel latency)
-    : id_(id), latency_(latency) {}
 
 double ChannelQueue::LatencyFor(FlashOpKind kind) const {
   switch (kind) {
@@ -19,60 +14,25 @@ double ChannelQueue::LatencyFor(FlashOpKind kind) const {
   return 0;
 }
 
-FlashSubmission ChannelQueue::Stamp(uint64_t id, FlashOpKind kind,
-                                    PhysicalAddress addr, IoPurpose purpose,
-                                    double now_us) {
-  FlashSubmission sub;
-  sub.id = id;
-  sub.channel = id_;
-  sub.kind = kind;
-  sub.addr = addr;
-  sub.purpose = purpose;
-  sub.submit_us = now_us;
-  sub.start_us = std::max(now_us, busy_until_us_);
+double ChannelQueue::Submit(FlashOpKind kind, double now_us) {
+  const double start_us = std::max(now_us, busy_until_us_);
   // Idle accounting: the gap between the channel going quiet and this op
   // arriving is time the channel had nothing to do.
-  if (sub.start_us > busy_until_us_) idle_us_ += sub.start_us - busy_until_us_;
-  sub.complete_us = sub.start_us + LatencyFor(kind);
-  busy_until_us_ = sub.complete_us;
-  return sub;
-}
-
-const FlashSubmission& ChannelQueue::Submit(uint64_t id, FlashOpKind kind,
-                                            PhysicalAddress addr,
-                                            IoPurpose purpose, double now_us) {
-  pending_.push_back(Stamp(id, kind, addr, purpose, now_us));
-  if (pending_.size() == 1) front_us_ = pending_.back().complete_us;
-  return pending_.back();
+  if (start_us > busy_until_us_) idle_us_ += start_us - busy_until_us_;
+  const double complete_us = start_us + LatencyFor(kind);
+  busy_until_us_ = complete_us;
+  parked_.push_back(Parked{complete_us, complete_us - start_us});
+  return complete_us;
 }
 
 ChannelArray::ChannelArray(uint32_t num_channels, LatencyModel latency) {
   GECKO_CHECK_GE(num_channels, 1u);
-  channels_.reserve(num_channels);
-  for (ChannelId c = 0; c < num_channels; ++c) {
-    channels_.emplace_back(c, latency);
-  }
+  channels_.assign(num_channels, ChannelQueue(latency));
 }
 
-const FlashSubmission& ChannelArray::Submit(ChannelId c, FlashOpKind kind,
-                                            PhysicalAddress addr,
-                                            IoPurpose purpose) {
+double ChannelArray::Submit(ChannelId c, FlashOpKind kind) {
   GECKO_CHECK_LT(c, channels_.size());
-  const FlashSubmission& sub =
-      channels_[c].Submit(next_id_++, kind, addr, purpose, now_us_);
-  uint32_t depth = static_cast<uint32_t>(channels_[c].depth());
-  if (depth > max_depth_since_drain_) max_depth_since_drain_ = depth;
-  return sub;
-}
-
-FlashSubmission ChannelArray::SubmitImmediate(ChannelId c, FlashOpKind kind,
-                                              PhysicalAddress addr,
-                                              IoPurpose purpose) {
-  GECKO_CHECK_LT(c, channels_.size());
-  FlashSubmission sub = channels_[c].Stamp(next_id_++, kind, addr, purpose,
-                                           now_us_);
-  now_us_ = std::max(now_us_, sub.complete_us);
-  return sub;
+  return channels_[c].Submit(kind, now_us_);
 }
 
 }  // namespace gecko

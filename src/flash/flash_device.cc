@@ -1,5 +1,6 @@
 #include "flash/flash_device.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace gecko {
@@ -37,14 +38,12 @@ FlashDevice::BatchResult FlashDevice::EndBatch() {
 }
 
 FlashDevice::BatchResult FlashDevice::AdvanceTo(double until_us) {
-  // Each retired op's service time goes to its channel as it retires, and
-  // the clock advance to the elapsed time: no vector, no sort.
-  BatchResult drained =
-      channels_.Retire(until_us, [this](const FlashSubmission& sub) {
-        stats_.OnChannelComplete(sub.channel, sub.ServiceUs());
+  BatchResult retired =
+      channels_.Retire(until_us, [this](ChannelId c, double service_us) {
+        stats_.OnChannelComplete(c, service_us);
       });
-  stats_.AdvanceElapsed(drained.elapsed_us);
-  return drained;
+  stats_.AdvanceElapsed(retired.elapsed_us);
+  return retired;
 }
 
 void FlashDevice::BeginOpScope() {
@@ -59,30 +58,16 @@ FlashDevice::OpScope FlashDevice::EndOpScope() {
   return op_scope_;
 }
 
-void FlashDevice::NoteScopedOp(const FlashSubmission& sub) {
-  if (!op_scope_open_) return;
-  ++op_scope_.ops;
-  if (sub.complete_us > op_scope_.last_complete_us) {
-    op_scope_.last_complete_us = sub.complete_us;
+void FlashDevice::SubmitOp(FlashOpKind kind, BlockId block) {
+  const ChannelId channel = ChannelOf(block);
+  const double complete_us = channels_.Submit(channel, kind);
+  stats_.OnChannelSubmit(channels_.depth(channel));
+  if (op_scope_open_) {
+    ++op_scope_.ops;
+    op_scope_.last_complete_us =
+        std::max(op_scope_.last_complete_us, complete_us);
   }
-}
-
-void FlashDevice::SubmitOp(FlashOpKind kind, PhysicalAddress addr,
-                           IoPurpose purpose) {
-  ChannelId channel = ChannelOf(addr.block);
-  stats_.OnChannelSubmit(channel);
-  if (batch_depth_ == 0) {
-    // Serial fast lane: no parking, no drain sort — stamp, complete, and
-    // account inline. Timing-equivalent to Submit + Drain of one op.
-    double before = channels_.now_us();
-    FlashSubmission sub =
-        channels_.SubmitImmediate(channel, kind, addr, purpose);
-    stats_.OnChannelComplete(channel, sub.ServiceUs());
-    stats_.AdvanceElapsed(channels_.now_us() - before);
-    NoteScopedOp(sub);
-    return;
-  }
-  NoteScopedOp(channels_.Submit(channel, kind, addr, purpose));
+  if (batch_depth_ == 0) AdvanceTo(std::numeric_limits<double>::infinity());
 }
 
 uint64_t FlashDevice::WritePage(PhysicalAddress addr, SpareArea spare,
@@ -130,25 +115,24 @@ ProgramResult FlashDevice::ProgramPage(PhysicalAddress addr, SpareArea spare,
     page.payload = payload;
   }
   stats_.OnPageWrite(purpose);
-  SubmitOp(FlashOpKind::kPageWrite, addr, purpose);
+  SubmitOp(FlashOpKind::kPageWrite, addr.block);
   return ProgramResult{!failed, spare.seq};
 }
 
-void FlashDevice::ChargeReadRetries(PhysicalAddress addr, IoPurpose purpose,
-                                    uint32_t retries) {
+void FlashDevice::ChargeReadRetries(BlockId block, uint32_t retries) {
   // Each retry is one more real read op on the page's channel: it queues,
   // occupies the channel for a full read latency, and delays everything
   // behind it — but is not a distinct page read in the per-purpose counts
   // (the host issued one read; the medium just made it expensive).
   for (uint32_t i = 0; i < retries; ++i) {
-    SubmitOp(FlashOpKind::kPageRead, addr, purpose);
+    SubmitOp(FlashOpKind::kPageRead, block);
   }
 }
 
 PageReadResult FlashDevice::ReadPage(PhysicalAddress addr, IoPurpose purpose) {
   CheckAddress(addr);
   stats_.OnPageRead(purpose);
-  SubmitOp(FlashOpKind::kPageRead, addr, purpose);
+  SubmitOp(FlashOpKind::kPageRead, addr.block);
   const BlockRecord& block = blocks_[addr.block];
   const PageRecord& page = pages_[FlatIndex(addr)];
   if (block.retired || page.bad) {
@@ -159,7 +143,7 @@ PageReadResult FlashDevice::ReadPage(PhysicalAddress addr, IoPurpose purpose) {
   if (page.written) {
     uint32_t retries = faults_.RollTransientReadRetries(addr);
     if (retries > 0) {
-      ChargeReadRetries(addr, purpose, retries);
+      ChargeReadRetries(addr.block, retries);
       stats_.OnTransientReadFault(retries);
     }
     if (faults_.RollHardReadFault(addr, purpose == IoPurpose::kUserRead)) {
@@ -173,7 +157,7 @@ PageReadResult FlashDevice::ReadPage(PhysicalAddress addr, IoPurpose purpose) {
 PageReadResult FlashDevice::ReadSpare(PhysicalAddress addr, IoPurpose purpose) {
   CheckAddress(addr);
   stats_.OnSpareRead(purpose);
-  SubmitOp(FlashOpKind::kSpareRead, addr, purpose);
+  SubmitOp(FlashOpKind::kSpareRead, addr.block);
   return PeekSpare(addr);
 }
 
@@ -202,7 +186,7 @@ bool FlashDevice::TryEraseBlock(BlockId block_id, IoPurpose purpose) {
     // The failed attempt still occupied the channel for an erase latency;
     // the block is permanently retired (grown bad).
     stats_.OnEraseFault();
-    SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose);
+    SubmitOp(FlashOpKind::kErase, block_id);
     RetireBlock(block_id);
     return false;
   }
@@ -216,7 +200,7 @@ bool FlashDevice::TryEraseBlock(BlockId block_id, IoPurpose purpose) {
   block.last_erase_seq = next_seq_++;
   ++global_erase_count_;
   stats_.OnErase(purpose);
-  SubmitOp(FlashOpKind::kErase, PhysicalAddress{block_id, 0}, purpose);
+  SubmitOp(FlashOpKind::kErase, block_id);
   return true;
 }
 

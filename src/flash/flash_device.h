@@ -16,13 +16,14 @@
 //
 // Channel parallelism: the device is striped across Geometry::num_channels
 // independent channels (block k lives on channel k mod num_channels), each
-// with its own op queue and latency clock (flash/channel_queue.h). Data
-// effects always commit synchronously in program order; the channels model
-// *time*. Outside a batch window every op drains immediately, which
-// reproduces the serial single-unit model exactly. Inside a
-// BeginBatch()/EndBatch() window, submissions park on their channel queues
-// and the window completes in max-per-channel time — the mechanism by
-// which a striped scatter-gather batch gets N-channel speedup.
+// a busy-until clock with a FIFO of parked ops (flash/channel_queue.h).
+// Data effects always commit synchronously in program order; the channels
+// model *time*. Every op takes one path: it is stamped on its channel and
+// parked. Outside a batch window it retires at once, which reproduces the
+// serial single-unit model exactly. Inside a BeginBatch()/EndBatch()
+// window, ops stay parked until the window closes (or AdvanceTo reaches
+// them) and the window completes in max-per-channel time — the mechanism
+// by which a striped scatter-gather batch gets N-channel speedup.
 //
 // Power failure: flash contents (payloads + spare areas + erase counters)
 // persist; only FTL RAM structures are lost. The device itself therefore
@@ -116,20 +117,20 @@ class FlashDevice {
   void BeginBatch();
 
   /// What one drained batch window cost: its makespan (max-per-channel,
-  /// not sum), the flash ops it retired, and the deepest channel queue.
-  using BatchResult = ChannelArray::DrainResult;
+  /// not sum) and the flash ops it retired.
+  using BatchResult = ChannelArray::RetireResult;
 
-  /// Closes the innermost batch window. The outermost close drains every
-  /// queued op in completion-time order and advances the simulated clock
-  /// by the window's makespan. Inner closes return a zeroed BatchResult.
+  /// Closes the innermost batch window. The outermost close retires every
+  /// queued op and advances the simulated clock by the window's makespan.
+  /// Inner closes return a zeroed BatchResult.
   BatchResult EndBatch();
 
   /// Whether a batch window is open.
   bool in_batch() const { return batch_depth_ > 0; }
 
   /// Reactor tick: retires every queued op that completes at or before
-  /// `until_us` (completion-time order, stats update) and
-  /// advances the clock to max(now, until_us), leaving later ops queued.
+  /// `until_us` (charging its channel's stats) and advances the clock to
+  /// max(now, until_us), leaving later ops queued.
   /// Unlike EndBatch(), the batch window — if any — stays open; the async
   /// engine uses this to let time pass while requests are still in
   /// flight. A no-op on the clock when `until_us` is in the past;
@@ -267,18 +268,14 @@ class FlashDevice {
 
   void CheckAddress(PhysicalAddress addr) const;
 
-  /// Routes one op through its block's channel queue: charges queue-depth
-  /// stats, and drains immediately unless a batch window is open.
-  void SubmitOp(FlashOpKind kind, PhysicalAddress addr, IoPurpose purpose);
+  /// Parks one op on `block`'s channel: charges the queue-depth stats,
+  /// feeds the open op scope, and retires the op at once unless a batch
+  /// window is open.
+  void SubmitOp(FlashOpKind kind, BlockId block);
 
-
-  /// Feeds one stamped submission into the open op scope, if any.
-  void NoteScopedOp(const FlashSubmission& sub);
-
-  /// Charges `retries` extra read ops at `addr` through the channel queue
-  /// (the latency cost of absorbing a transient read fault).
-  void ChargeReadRetries(PhysicalAddress addr, IoPurpose purpose,
-                         uint32_t retries);
+  /// Charges `retries` extra read ops on `block`'s channel (the latency
+  /// cost of absorbing a transient read fault).
+  void ChargeReadRetries(BlockId block, uint32_t retries);
 
   Geometry geometry_;
   IoStats stats_;

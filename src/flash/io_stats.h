@@ -111,8 +111,7 @@ class IoStats {
                    uint32_t num_channels = 1)
       : latency_(latency),
         channel_busy_us_(num_channels, 0.0),
-        channel_ops_(num_channels, 0),
-        channel_depth_(num_channels, 0) {}
+        channel_ops_(num_channels, 0) {}
 
   void OnPageRead(IoPurpose p) {
     ++counters_.page_reads[static_cast<int>(p)];
@@ -132,16 +131,16 @@ class IoStats {
 
   // --- Channel pipeline hooks (fed by FlashDevice) ----------------------
 
-  /// An op entered channel `c`'s queue: queue-depth accounting.
-  void OnChannelSubmit(uint32_t c) {
+  /// An op entered a channel queue, which now holds `depth` ops.
+  void OnChannelSubmit(size_t depth) {
     ++submissions_;
-    uint32_t depth = ++channel_depth_[c];
-    if (depth > max_queue_depth_) max_queue_depth_ = depth;
+    if (depth > max_queue_depth_) {
+      max_queue_depth_ = static_cast<uint32_t>(depth);
+    }
   }
 
   /// An op on channel `c` retired after `service_us` of channel time.
   void OnChannelComplete(uint32_t c, double service_us) {
-    --channel_depth_[c];
     channel_busy_us_[c] += service_us;
     ++channel_ops_[c];
   }
@@ -287,8 +286,8 @@ class IoStats {
     elapsed_us_ = 0;
     std::fill(channel_busy_us_.begin(), channel_busy_us_.end(), 0.0);
     std::fill(channel_ops_.begin(), channel_ops_.end(), uint64_t{0});
-    // channel_depth_ and host_inflight_ are live pipeline state, not
-    // statistics: in-flight submissions still complete after a Reset.
+    // host_inflight_ is live pipeline state, not a statistic: in-flight
+    // requests still complete after a Reset.
     max_queue_depth_ = 0;
     submissions_ = 0;
     host_inflight_watermark_ = host_inflight_;
@@ -313,7 +312,6 @@ class IoStats {
   double elapsed_us_ = 0;
   std::vector<double> channel_busy_us_;
   std::vector<uint64_t> channel_ops_;
-  std::vector<uint32_t> channel_depth_;
   uint32_t max_queue_depth_ = 0;
   uint64_t submissions_ = 0;
   uint32_t host_inflight_ = 0;

@@ -37,10 +37,11 @@ ShardMap BuildShardMap(const ShardedFtlOptions& options) {
       ShardedFtl::ShardGeometry(options.geometry, options.num_shards);
   uint64_t inner_lpns = slice.NumLogicalPages();
   GECKO_CHECK_GT(inner_lpns, 0u);
-  uint64_t chunk = options.chunk_lpns != 0
-                       ? options.chunk_lpns
-                       : slice.MappingEntriesPerTranslationPage();
-  if (chunk > inner_lpns) chunk = inner_lpns;
+  // The striping unit is one translation page's worth of mapping entries
+  // (the LFTL rule: one chunk's mappings live on one shard-private
+  // translation page), clamped to the shard size.
+  const uint64_t chunk =
+      std::min<uint64_t>(slice.MappingEntriesPerTranslationPage(), inner_lpns);
   ShardMap map;
   map.num_shards = options.num_shards;
   map.chunk_lpns = chunk;
@@ -75,10 +76,7 @@ Geometry ShardedFtl::ShardGeometry(const Geometry& total,
 
 ShardedFtl::ShardedFtl(const ShardedFtlOptions& options, FtlFactory factory)
     : router_(BuildShardMap(options)),
-      max_inflight_(options.max_inflight != 0
-                        ? options.max_inflight
-                        : options.num_shards *
-                              options.config.async_queue_depth) {
+      max_inflight_(options.num_shards * options.config.async_queue_depth) {
   GECKO_CHECK(factory != nullptr);
   GECKO_CHECK_GE(max_inflight_, 1u);
   Geometry slice = ShardGeometry(options.geometry, options.num_shards);

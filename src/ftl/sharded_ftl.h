@@ -96,17 +96,12 @@ struct ShardedFtlOptions {
   Geometry geometry;
   uint32_t num_shards = 4;
   /// PER-SHARD FTL configuration. The caller divides global budgets
-  /// (e.g. cache_capacity) across shards; this is applied to each.
+  /// (e.g. cache_capacity) across shards; this is applied to each. The
+  /// front end's async in-flight cap (kQueueFull past it) is
+  /// num_shards * config.async_queue_depth.
   FtlConfig config;
   /// Latency model shared by every shard's device slice.
   LatencyModel latency;
-  /// Global async in-flight cap (kQueueFull past it). 0 derives
-  /// num_shards * config.async_queue_depth.
-  uint32_t max_inflight = 0;
-  /// Striping unit in LPNs. 0 derives one translation page's worth of
-  /// mapping entries (the LFTL rule: one chunk's mappings live on one
-  /// shard-private translation page), clamped to the shard size.
-  uint64_t chunk_lpns = 0;
   /// Media-fault plane applied to every shard's device slice. Each shard
   /// gets its own FaultModel seeded with `faults.seed + shard_index`, so
   /// fault sequences are uncorrelated across shards while one seed still

@@ -313,7 +313,8 @@ TEST_P(ShardedFtlTest, CrashDuringFanOutAbortsQueuedSubsExactlyOnce) {
     options.geometry = FtlTestGeometry(4);
     options.num_shards = 4;
     options.config = DefaultFtlConfig(FtlName(), 64);
-    options.max_inflight = 4096;  // keep the queues deep at crash time
+    // A 4,096-request cap keeps the queues deep at crash time.
+    options.config.async_queue_depth = 4096 / options.num_shards;
     ShardedFtl sharded(options, FactoryFor(FtlName()));
     const uint64_t capacity = sharded.shard_map().TotalLpns();
 
