@@ -44,9 +44,7 @@ Status AsyncEngine::Validate(const IoRequest& request) {
   return Status::Ok();
 }
 
-Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
-  // Validation and the depth check precede any move, so a refused request
-  // is left untouched in the caller's hands for resubmission.
+Status AsyncEngine::Submit(const IoRequest& request, CompletionCb on_complete) {
   Status invalid = Validate(request);
   if (!invalid.ok()) return invalid;
   if (in_flight() >= queue_depth_) {
@@ -57,11 +55,10 @@ Status AsyncEngine::Submit(IoRequest&& request, CompletionCb on_complete) {
   const uint32_t s = slots_.Acquire();
   Slot& r = slots_[s];
   r.seq = next_seq_++;
-  r.request = std::move(request);
+  r.request.op = request.op;
+  r.request.extents.assign(request.extents.begin(), request.extents.end());
   r.on_complete = std::move(on_complete);
-  r.result.status = Status::Ok();
-  r.result.extent_status.clear();
-  r.result.payloads.clear();
+  r.result.Clear();
   r.cls = RequestClassOf(r.request.op);
   r.submit_us = device_->now_us();
   r.flash_ops = 0;

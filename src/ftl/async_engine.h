@@ -47,12 +47,12 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <vector>
 
 #include "flash/flash_device.h"
 #include "ftl/ftl.h"
+#include "util/pool.h"
 
 namespace gecko {
 
@@ -146,8 +146,9 @@ class AsyncEngine {
  public:
   AsyncEngine(AsyncHost* host, FlashDevice* device, uint32_t queue_depth);
 
-  /// See Ftl::SubmitAsync. On kQueueFull the request is left untouched.
-  Status Submit(IoRequest&& request, CompletionCb on_complete);
+  /// See Ftl::SubmitAsync. The request's extents are copied into the
+  /// slot's retained storage, so the caller keeps the request.
+  Status Submit(const IoRequest& request, CompletionCb on_complete);
 
   /// See Ftl::Poll.
   uint64_t Poll();
@@ -227,27 +228,6 @@ class AsyncEngine {
   struct Fetch {
     uint64_t tpage = 0;
     std::vector<Waiter> waiters;
-  };
-
-  /// Reused records with stable addresses (a callback may submit, growing
-  /// the slot pool, while its own slot's result is still being read); the
-  /// pool grows only when no record is free.
-  template <typename T>
-  struct Pool {
-    std::vector<std::unique_ptr<T>> items;
-    std::vector<uint32_t> free;
-    uint32_t Acquire() {
-      if (free.empty()) {
-        items.push_back(std::make_unique<T>());
-        return static_cast<uint32_t>(items.size() - 1);
-      }
-      const uint32_t i = free.back();
-      free.pop_back();
-      return i;
-    }
-    void Release(uint32_t i) { free.push_back(i); }
-    T& operator[](uint32_t i) { return *items[i]; }
-    const T& operator[](uint32_t i) const { return *items[i]; }
   };
 
   /// A due-time event, ordered on (us, order): `order` is the request's

@@ -55,7 +55,9 @@ uint8_t BaseFtl::ClassifyWrite(Lpn lpn, bool tombstone) {
 Status BaseFtl::Submit(IoRequest& request, IoResult* result) {
   IoResult scratch;
   IoResult& res = result != nullptr ? *result : scratch;
-  res = IoResult();
+  // Cleared in place, so the completion's copy reuses the caller's
+  // capacity.
+  res.Clear();
 
   // Thin wrapper over the async path: submit, then run the reactor to
   // completion. The engine opens a batch window around the dispatch, so a
@@ -68,11 +70,10 @@ Status BaseFtl::Submit(IoRequest& request, IoResult* result) {
     res = r;
     done = true;
   };
-  IoRequest copy = request;  // callers may reuse the request across retries
-  Status s = engine_.Submit(std::move(copy), capture);
+  Status s = engine_.Submit(request, capture);
   if (s.code() == StatusCode::kQueueFull) {
     engine_.DrainAll();
-    s = engine_.Submit(std::move(copy), capture);
+    s = engine_.Submit(request, capture);
   }
   if (!s.ok()) {
     res.status = s;

@@ -63,7 +63,7 @@ class BaseFtl : public Ftl, private AsyncHost {
   /// ones (same-LPN RAW/WAW, same eager translation-page commit, flush
   /// barriers).
   Status SubmitAsync(IoRequest&& request, CompletionCb on_complete) override {
-    return engine_.Submit(std::move(request), std::move(on_complete));
+    return engine_.Submit(request, std::move(on_complete));
   }
   uint64_t Poll() override { return engine_.Poll(); }
   uint64_t DrainAsync() override { return engine_.DrainAll(); }

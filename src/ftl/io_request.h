@@ -108,6 +108,13 @@ struct IoResult {
   /// extents stay 0).
   std::vector<uint64_t> payloads;
 
+  /// Resets to an empty OK result, keeping the vectors' capacity.
+  void Clear() {
+    status = Status::Ok();
+    extent_status.clear();
+    payloads.clear();
+  }
+
   /// True iff the request executed and every extent succeeded.
   bool AllOk() const {
     if (!status.ok()) return false;

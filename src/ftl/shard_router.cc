@@ -1,62 +1,69 @@
 #include "ftl/shard_router.h"
 
+#include <limits>
 #include <utility>
 
 namespace gecko {
+namespace {
 
-SplitRequest ShardRouter::Split(const IoRequest& request) const {
-  SplitRequest split;
-  split.op = request.op;
-  split.original_extents = request.extents.size();
+constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+/// Makes the next sub slot live for `shard`: emptied, capacity kept.
+void TakeSub(SplitRequest* split, uint32_t shard, IoOp op) {
+  SplitRequest::Sub& sub = split->subs[split->num_subs++];
+  sub.shard = shard;
+  sub.request.op = op;
+  sub.request.extents.clear();
+  sub.extent_of.clear();
+}
+
+}  // namespace
+
+void ShardRouter::Split(const IoRequest& request, SplitRequest* split) const {
+  split->op = request.op;
+  split->original_extents = request.extents.size();
+  split->unrouted.clear();
+  split->num_subs = 0;
+  if (split->subs.size() < map_.num_shards) split->subs.resize(map_.num_shards);
 
   if (request.op == IoOp::kFlush) {
     // The cross-shard barrier: every shard flushes; the rendezvous join
     // in the sharded FTL completes the host flush only when all have.
-    split.subs.reserve(map_.num_shards);
     for (uint32_t s = 0; s < map_.num_shards; ++s) {
-      SplitRequest::Sub sub;
-      sub.shard = s;
-      sub.request = IoRequest::Flush();
-      split.subs.push_back(std::move(sub));
+      TakeSub(split, s, IoOp::kFlush);
     }
-    return split;
+    return;
   }
 
-  // Dense sub-request slots, one per touched shard, emitted in shard
-  // order (deterministic for tests; the touch order of one request is
-  // not observable across shards anyway).
-  std::vector<int> slot_of_shard(map_.num_shards, -1);
+  // Dense sub-request slots, one per touched shard, in the order the
+  // request first touches each shard.
+  split->slot_of_shard.assign(map_.num_shards, kNoSlot);
   for (size_t i = 0; i < request.extents.size(); ++i) {
     const IoExtent& extent = request.extents[i];
     if (map_.num_shards > 1 && extent.lpn >= map_.TotalLpns()) {
       // Beyond the aggregate capacity: resolved here, exactly like the
       // unsharded FTL's own out-of-range check (extent skipped).
-      split.unrouted.emplace_back(
+      split->unrouted.emplace_back(
           i, Status::InvalidArgument("lpn beyond sharded capacity"));
       continue;
     }
-    uint32_t shard = map_.ShardOf(extent.lpn);
-    int slot = slot_of_shard[shard];
-    if (slot < 0) {
-      slot = static_cast<int>(split.subs.size());
-      slot_of_shard[shard] = slot;
-      SplitRequest::Sub sub;
-      sub.shard = shard;
-      sub.request = IoRequest(request.op);
-      split.subs.push_back(std::move(sub));
+    const uint32_t shard = map_.ShardOf(extent.lpn);
+    uint32_t& slot = split->slot_of_shard[shard];
+    if (slot == kNoSlot) {
+      slot = static_cast<uint32_t>(split->num_subs);
+      TakeSub(split, shard, request.op);
     }
-    SplitRequest::Sub& sub = split.subs[static_cast<size_t>(slot)];
+    SplitRequest::Sub& sub = split->subs[slot];
     sub.request.extents.push_back(
         IoExtent{map_.LocalLpn(extent.lpn), extent.payload});
     sub.extent_of.push_back(i);
   }
-  return split;
 }
 
 void ShardRouter::Join(const SplitRequest& split,
                        const std::vector<IoResult>& sub_results,
                        IoResult* out) {
-  GECKO_CHECK_EQ(sub_results.size(), split.subs.size());
+  GECKO_CHECK_GE(sub_results.size(), split.num_subs);
   out->status = Status::Ok();
   out->extent_status.assign(split.original_extents, Status::Ok());
   out->payloads.clear();
@@ -66,7 +73,7 @@ void ShardRouter::Join(const SplitRequest& split,
   for (const auto& [index, status] : split.unrouted) {
     out->extent_status[index] = status;
   }
-  for (size_t s = 0; s < split.subs.size(); ++s) {
+  for (size_t s = 0; s < split.num_subs; ++s) {
     const SplitRequest::Sub& sub = split.subs[s];
     const IoResult& r = sub_results[s];
     if (!r.status.ok()) {

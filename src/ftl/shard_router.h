@@ -19,6 +19,8 @@
 // one scatter-gather IoRequest into at most one sub-request per touched
 // shard (kFlush fans out to every shard — the cross-shard barrier), and
 // Join scatters per-shard results back into the original extent order.
+// Both work in place on caller-owned records, so a reused SplitRequest
+// and result allocate nothing once their vectors have grown.
 
 #ifndef GECKOFTL_FTL_SHARD_ROUTER_H_
 #define GECKOFTL_FTL_SHARD_ROUTER_H_
@@ -62,10 +64,13 @@ struct ShardMap {
   }
 };
 
-/// One request split across shards. `subs` holds only the shards the
-/// request actually touches (all of them for kFlush); `extent_of[s][j]`
-/// is the original extent index behind sub-request s's extent j, so Join
-/// can scatter per-shard statuses/payloads back into host order.
+/// One request split across shards, refilled in place by each Split. The
+/// first `num_subs` entries of `subs` are live: one per shard the request
+/// actually touches (all of them for kFlush). The rest are left over from
+/// earlier splits and keep their vectors' capacity for reuse.
+/// `subs[s].extent_of[j]` is the original extent index behind live sub s's
+/// extent j, so Join can scatter per-shard statuses/payloads back into
+/// host order.
 struct SplitRequest {
   struct Sub {
     uint32_t shard = 0;
@@ -73,6 +78,7 @@ struct SplitRequest {
     std::vector<size_t> extent_of;  // sub extent j -> original extent index
   };
   std::vector<Sub> subs;
+  size_t num_subs = 0;
   /// Extents resolved by the router itself (lpn beyond TotalLpns) and
   /// never routed: (original index, status). Empty with num_shards == 1 —
   /// the identity map forwards everything so the inner FTL's own range
@@ -80,6 +86,8 @@ struct SplitRequest {
   std::vector<std::pair<size_t, Status>> unrouted;
   size_t original_extents = 0;
   IoOp op = IoOp::kWrite;
+  /// Split's scratch: the live sub slot of each shard.
+  std::vector<uint32_t> slot_of_shard;
 };
 
 class ShardRouter {
@@ -88,13 +96,14 @@ class ShardRouter {
 
   const ShardMap& map() const { return map_; }
 
-  /// Splits `request` into per-shard sub-requests with local LPNs.
-  /// kFlush produces one extent-free flush per shard (the barrier).
-  SplitRequest Split(const IoRequest& request) const;
+  /// Refills `split` with `request`'s per-shard sub-requests, with local
+  /// LPNs. kFlush produces one extent-free flush per shard (the barrier).
+  void Split(const IoRequest& request, SplitRequest* split) const;
 
-  /// Merges per-shard results (parallel to `split.subs`) into `out`,
-  /// parallel to the original request's extents. Payload slots are filled
-  /// for kRead only, matching the unsharded servicing path.
+  /// Merges the live subs' results (`sub_results[s]` belongs to
+  /// `split.subs[s]`; entries past `split.num_subs` are ignored) into
+  /// `out`, parallel to the original request's extents. Payload slots are
+  /// filled for kRead only, matching the unsharded servicing path.
   static void Join(const SplitRequest& split,
                    const std::vector<IoResult>& sub_results, IoResult* out);
 

@@ -10,24 +10,32 @@
 
 namespace gecko {
 
-/// Per-request fan-out/join state, heap-allocated per submission. Workers
-/// write DISJOINT slots of sub_results/sub_start_us/sub_complete_us (slot =
+/// Per-request fan-out/join state, a pooled record reused across
+/// requests (ownership: see sharded_ftl.h). The per-sub vectors have one
+/// slot per shard; only the first `split.num_subs` are live. Workers write
+/// DISJOINT slots of sub_results/sub_start_us/sub_complete_us (slot =
 /// their sub index); the last completer — the one whose `remaining`
-/// decrement hits zero — joins and disposes. The acq_rel decrement makes
-/// every other worker's slot writes visible to the joiner.
+/// decrement hits zero — joins. The acq_rel decrement makes every other
+/// worker's slot writes visible to the joiner.
 struct ShardedFtl::RequestState {
   SplitRequest split;
   std::vector<IoResult> sub_results;
   /// Shard clock when each sub began executing (+inf if it aborted).
   std::vector<double> sub_start_us;
   std::vector<double> sub_complete_us;
+  /// The queue node of each sub slot.
+  std::unique_ptr<ShardMsg[]> nodes;
+  IoResult result;  // the joined result
   CompletionCb on_complete;
   std::atomic<uint32_t> remaining{0};
   std::atomic<bool> aborted{false};
   bool sync = false;
-  IoResult* sync_result = nullptr;  // sync path: joined result lands here
-  std::binary_semaphore done{0};    // sync path: released by the joiner
+  std::binary_semaphore done{0};     // sync path: released by the joiner
   std::optional<double> arrival_us;  // SubmitAsyncAt's stamp
+  uint32_t pool_index = 0;
+  /// Between AcquireState and ReleaseState. A pool hides reuse from
+  /// ASan, so a record reused before its join is caught here instead.
+  bool in_use = false;
 };
 
 namespace {
@@ -103,12 +111,12 @@ ShardedFtl::ShardedFtl(const ShardedFtlOptions& options, FtlFactory factory)
 ShardedFtl::~ShardedFtl() {
   DrainAsync();
   for (auto& shard : shards_) {
+    if (!shard->worker.joinable()) continue;
+    // The stop node stays here until its worker has exited.
     ShardMsg stop;
     stop.kind = ShardMsg::Kind::kStop;
-    shard->queue.Push(stop);
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
+    shard->queue.Push(&stop);
+    shard->worker.join();
   }
 }
 
@@ -149,17 +157,16 @@ Status ShardedFtl::SubmitInternal(IoRequest& request, CompletionCb on_complete,
   }
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
 
-  auto* state = new RequestState;
-  state->split = router_.Split(request);
+  RequestState* state = AcquireState();
+  router_.Split(request, &state->split);
   state->on_complete = std::move(on_complete);
   state->sync = sync;
-  state->sync_result = sync_result;
   state->arrival_us = arrival_us;
-  size_t num_subs = state->split.subs.size();
-  state->sub_results.resize(num_subs);
-  state->sub_start_us.assign(num_subs,
-                             std::numeric_limits<double>::infinity());
-  state->sub_complete_us.assign(num_subs, 0.0);
+  state->aborted.store(false, std::memory_order_relaxed);
+  const uint32_t num_subs = static_cast<uint32_t>(state->split.num_subs);
+  std::fill_n(state->sub_start_us.begin(), num_subs,
+              std::numeric_limits<double>::infinity());
+  std::fill_n(state->sub_complete_us.begin(), num_subs, 0.0);
   if (state->split.op == IoOp::kFlush) {
     stat_flush_barriers_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -173,31 +180,60 @@ Status ShardedFtl::SubmitInternal(IoRequest& request, CompletionCb on_complete,
     // `remaining` is published BEFORE any push: a worker can only
     // decrement after popping a message, and every pop happens-after its
     // push, so the joiner runs strictly after this store and after every
-    // push below — `state` stays valid for the whole fan-out loop.
+    // push below — nobody returns `state` to the pool during this loop.
     state->remaining.store(static_cast<uint32_t>(num_subs),
                            std::memory_order_release);
     stat_sub_requests_.fetch_add(num_subs, std::memory_order_relaxed);
     for (uint32_t i = 0; i < num_subs; ++i) {
-      ShardMsg msg;
+      ShardMsg& msg = state->nodes[i];
       msg.kind = ShardMsg::Kind::kSub;
       msg.request = state;
       msg.index = i;
       msg.arrival_us = arrival_us.value_or(0);
-      shards_[state->split.subs[i].shard]->queue.Push(msg);
+      shards_[state->split.subs[i].shard]->queue.Push(&msg);
     }
   }
 
   if (sync) {
     state->done.acquire();  // joined result is published by the release
-    delete state;
+    if (sync_result != nullptr) *sync_result = state->result;
+    ReleaseState(state);
   }
   return Status::Ok();
+}
+
+ShardedFtl::RequestState* ShardedFtl::AcquireState() {
+  RequestState* state;
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    const uint32_t i = pool_.Acquire();
+    state = &pool_[i];
+    GECKO_CHECK(!state->in_use) << "request record reused before its join";
+    state->in_use = true;
+    state->pool_index = i;
+  }
+  if (state->nodes == nullptr) {
+    const uint32_t n = num_shards();
+    state->sub_results.resize(n);
+    state->sub_start_us.resize(n);
+    state->sub_complete_us.resize(n);
+    state->nodes = std::make_unique<ShardMsg[]>(n);
+  }
+  return state;
+}
+
+void ShardedFtl::ReleaseState(RequestState* state) {
+  state->on_complete = nullptr;  // drop the callback's captures
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  GECKO_CHECK(state->in_use) << "request record released twice";
+  state->in_use = false;
+  pool_.Release(state->pool_index);
 }
 
 void ShardedFtl::WorkerLoop(uint32_t shard_index) {
   Shard& shard = *shards_[shard_index];
   for (;;) {
-    ShardMsg msg = shard.queue.WaitPop();
+    const ShardMsg& msg = *static_cast<const ShardMsg*>(shard.queue.WaitPop());
     switch (msg.kind) {
       case ShardMsg::Kind::kStop:
         return;
@@ -213,11 +249,14 @@ void ShardedFtl::WorkerLoop(uint32_t shard_index) {
 
 void ShardedFtl::ExecuteSub(Shard& shard, const ShardMsg& msg) {
   RequestState* state = msg.request;
-  SplitRequest::Sub& sub = state->split.subs[msg.index];
-  IoResult& result = state->sub_results[msg.index];
+  GECKO_CHECK(state->in_use) << "sub of a request record already returned";
+  const uint32_t index = msg.index;
+  SplitRequest::Sub& sub = state->split.subs[index];
+  IoResult& result = state->sub_results[index];
   if (shard.aborting.load(std::memory_order_acquire)) {
     // Crash in progress: every queued sub between the flag and the
     // kCrash message aborts exactly once (it is one queue message).
+    result.Clear();
     result.status = Status::Aborted("power failure during fan-out");
     result.extent_status.assign(sub.request.extents.size(),
                                 Status::Aborted("power failure"));
@@ -229,20 +268,20 @@ void ShardedFtl::ExecuteSub(Shard& shard, const ShardMsg& msg) {
       shard.device->AdvanceTo(msg.arrival_us);
     }
     // The worker reads only its own shard's clock.
-    state->sub_start_us[msg.index] = shard.device->now_us();
+    state->sub_start_us[index] = shard.device->now_us();
     Status executed = shard.ftl->Submit(sub.request, &result);
     if (!executed.ok()) result.status = executed;
-    state->sub_complete_us[msg.index] = shard.device->now_us();
+    state->sub_complete_us[index] = shard.device->now_us();
     ++shard.subs_executed;
   }
-  CompleteOne(state);
+  CompleteOne(state);  // `msg` and `state` may be reused from here on
 }
 
 void ShardedFtl::CompleteOne(RequestState* state) {
   if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   // Last completer: all slots are visible (acq_rel above); join them.
-  IoResult result;
-  ShardRouter::Join(state->split, state->sub_results, &result);
+  ShardRouter::Join(state->split, state->sub_results, &state->result);
+  const uint32_t num_subs = static_cast<uint32_t>(state->split.num_subs);
   bool aborted = state->aborted.load(std::memory_order_acquire);
   AsyncCompletion done;
   if (state->arrival_us.has_value()) {
@@ -251,13 +290,15 @@ void ShardedFtl::CompleteOne(RequestState* state) {
     // Unstamped: the request started when its earliest sub did (0 when
     // no sub executed).
     double first = std::numeric_limits<double>::infinity();
-    for (double t : state->sub_start_us) first = std::min(first, t);
+    for (uint32_t i = 0; i < num_subs; ++i) {
+      first = std::min(first, state->sub_start_us[i]);
+    }
     done.submit_us = std::isinf(first) ? 0 : first;
   }
   if (!aborted) {
     double complete_us = done.submit_us;
-    for (double t : state->sub_complete_us) {
-      complete_us = std::max(complete_us, t);
+    for (uint32_t i = 0; i < num_subs; ++i) {
+      complete_us = std::max(complete_us, state->sub_complete_us[i]);
     }
     done.complete_us = complete_us;
   }
@@ -267,22 +308,18 @@ void ShardedFtl::CompleteOne(RequestState* state) {
   if (aborted) {
     stat_aborted_requests_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (state->on_complete) state->on_complete(result, done);
+  const bool sync = state->sync;
+  if (!sync) {
+    if (state->on_complete) state->on_complete(state->result, done);
+    ReleaseState(state);
+  }
   unreported_completions_.fetch_add(1, std::memory_order_relaxed);
-  bool sync = state->sync;
-  if (sync && state->sync_result != nullptr) {
-    *state->sync_result = std::move(result);
+  // The acq_rel decrement publishes this completion's writes to
+  // DrainAsync's acquire load; only the last one can wake it.
+  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    inflight_.notify_all();
   }
-  // Publish the completion before waking drainers; the empty critical
-  // section pairs with the waiter's predicate re-check under the lock.
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  { std::lock_guard<std::mutex> lock(drain_mu_); }
-  drain_cv_.notify_all();
-  if (sync) {
-    state->done.release();  // submitter owns `state` from here on
-  } else {
-    delete state;
-  }
+  if (sync) state->done.release();  // the submitter owns `state` from here
 }
 
 void ShardedFtl::HandleControl(Shard& shard, const ShardMsg& msg) {
@@ -309,13 +346,15 @@ void ShardedFtl::Broadcast(ControlOp op, ControlRendezvous* rendezvous) {
   rendezvous->reports.resize(n);
   rendezvous->values.assign(n, 0);
   stat_control_broadcasts_.fetch_add(1, std::memory_order_relaxed);
+  // One node per shard, alive until every worker has arrived.
+  std::vector<ShardMsg> msgs(n);
   for (uint32_t s = 0; s < n; ++s) {
-    ShardMsg msg;
+    ShardMsg& msg = msgs[s];
     msg.kind = ShardMsg::Kind::kControl;
     msg.control = op;
     msg.index = s;
     msg.rendezvous = rendezvous;
-    shards_[s]->queue.Push(msg);
+    shards_[s]->queue.Push(&msg);
   }
   rendezvous->Wait();
 }
@@ -325,10 +364,10 @@ uint64_t ShardedFtl::Poll() {
 }
 
 uint64_t ShardedFtl::DrainAsync() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [this] {
-    return inflight_.load(std::memory_order_acquire) == 0;
-  });
+  for (uint32_t n = inflight_.load(std::memory_order_acquire); n != 0;
+       n = inflight_.load(std::memory_order_acquire)) {
+    inflight_.wait(n, std::memory_order_acquire);
+  }
   return unreported_completions_.exchange(0, std::memory_order_relaxed);
 }
 

@@ -12,15 +12,28 @@
 // messages, never locks.
 //
 // Request flow: a submitter thread calls SubmitAsync (any number of
-// submitters may do so concurrently). The router splits the request's
-// extents into at most one sub-request per touched shard and pushes one
-// queue message per sub. Each shard's worker executes its sub against
-// the inner FTL and stamps the shard-local device time at which the sub
+// submitters may do so concurrently). It takes a pooled request record,
+// the router splits the request's extents into the record's sub-requests
+// (at most one per touched shard), and the submitter pushes one queue
+// message per sub. Each shard's worker executes its sub against the
+// inner FTL and stamps the shard-local device time at which the sub
 // started and finished; the LAST completing worker joins the per-extent
-// statuses back into host order and fires the completion callback. kFlush fans out to every shard and
-// the same join is the cross-shard barrier. Control operations
-// (CrashAndRecover, ForceGc, IdleTick) broadcast a control message to
-// every shard and block on a rendezvous until all workers have arrived.
+// statuses back into host order and fires the completion callback. kFlush
+// fans out to every shard and the same join is the cross-shard barrier.
+// Control operations (CrashAndRecover, ForceGc, IdleTick) broadcast a
+// control message to every shard and block on a rendezvous until all
+// workers have arrived.
+//
+// Ownership (docs/ARCHITECTURE.md walks it step by step): each request
+// runs in a RequestState record from the front end's pool, which embeds
+// one queue node (ShardMsg) per sub slot. The submitter owns the record
+// until its pushes; a worker owns its sub's slots until its CompleteOne
+// and must not touch its message or the record after it (both may be
+// back in the pool and pushed again). The last completer joins, fires the
+// callback and returns the record (async), or hands it back to the sync
+// submitter, which copies the result out and returns it. Control and stop
+// messages live on the broadcasting thread's stack until the rendezvous
+// or the worker's join. A warm front end allocates nothing of its own.
 //
 // Memory-ordering conventions established here (everything later
 // concurrency builds on):
@@ -42,9 +55,13 @@
 //                     message aborts exactly once with kAborted.
 //   Stats           — per-shard counters/IoStats are only written by
 //   aggregation       their worker; counters() and RamBytes() are
-//                     valid only at quiescence (no request in flight:
-//                     DrainAsync's return or a sync Submit's return
-//                     happens-after all worker writes).
+//                     valid only at quiescence (no request in flight).
+//                     A sync Submit's return happens-after its join (the
+//                     semaphore); DrainAsync's return happens-after every
+//                     worker write, because each completion decrements
+//                     `inflight_` with acq_rel after its writes (a
+//                     release sequence) and DrainAsync waits on it with
+//                     an acquire load until it reads zero.
 //
 // Deviations from the single-threaded Ftl contract (documented, tested):
 //   - Completion callbacks fire on WORKER threads, not from Poll();
@@ -79,6 +96,7 @@
 #include "ftl/ftl_config.h"
 #include "ftl/shard_router.h"
 #include "util/mpsc_queue.h"
+#include "util/pool.h"
 
 namespace gecko {
 
@@ -234,9 +252,10 @@ class ShardedFtl : public Ftl {
 
   struct RequestState;
 
-  /// One queue message. kSub carries (request, sub index); kControl
-  /// carries the rendezvous; kStop ends the worker loop.
-  struct ShardMsg {
+  /// One queue message (an intrusive node; see "Ownership" above). kSub
+  /// carries (request, sub index); kControl carries the rendezvous; kStop
+  /// ends the worker loop.
+  struct ShardMsg : MpscNode {
     enum class Kind : uint8_t { kStop = 0, kSub, kControl };
     Kind kind = Kind::kStop;
     RequestState* request = nullptr;
@@ -251,7 +270,7 @@ class ShardedFtl : public Ftl {
   struct Shard {
     std::unique_ptr<FlashDevice> device;
     std::unique_ptr<Ftl> ftl;
-    LockFreeMpscQueue<ShardMsg> queue;
+    LockFreeMpscQueue queue;
     std::atomic<bool> aborting{false};
     std::thread worker;
     uint64_t subs_executed = 0;  // worker-private
@@ -263,11 +282,16 @@ class ShardedFtl : public Ftl {
   Status SubmitInternal(IoRequest& request, CompletionCb on_complete,
                         bool sync, std::optional<double> arrival_us,
                         IoResult* sync_result);
+  /// Takes a record from the pool (growing it only when none is free)
+  /// and gives it one slot per shard on its first use.
+  RequestState* AcquireState();
+  /// Drops the record's callback and returns it to the pool.
+  void ReleaseState(RequestState* state);
   void WorkerLoop(uint32_t shard_index);
   void ExecuteSub(Shard& shard, const ShardMsg& msg);
   void HandleControl(Shard& shard, const ShardMsg& msg);
-  /// Decrements `remaining`; the last completer joins, publishes, fires
-  /// the callback, and disposes (or releases the sync semaphore).
+  /// Decrements `remaining`; the last completer joins, fires the callback
+  /// and returns the record (async), or releases the sync semaphore.
   void CompleteOne(RequestState* state);
   /// Broadcasts `op` to every shard and waits for the rendezvous.
   void Broadcast(ControlOp op, ControlRendezvous* rendezvous);
@@ -277,10 +301,12 @@ class ShardedFtl : public Ftl {
   const uint32_t max_inflight_;
   std::string name_;
 
+  /// Admitted and not yet completed; DrainAsync waits on it.
   std::atomic<uint32_t> inflight_{0};
   std::atomic<uint64_t> unreported_completions_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
+  /// Guards `pool_`: submitters take records, joiners return them.
+  std::mutex pool_mu_;
+  Pool<RequestState> pool_;
   /// Serializes control broadcasts (crash, force-gc, idle-tick) against
   /// each other; never held while executing IO.
   std::mutex control_mu_;

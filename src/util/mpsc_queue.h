@@ -2,19 +2,23 @@
 //
 // Each LPN shard owns one submission queue (ftl/sharded_ftl.h): any
 // number of submitter threads push messages, exactly one worker thread
-// pops them. LockFreeMpscQueue is Vyukov's intrusive MPSC list (the SPDK
-// spdk_ring / DPDK rte_ring family of idioms): producers exchange the
-// head pointer and link the previous node, the consumer walks the tail.
-// Push is one atomic exchange + one release store; pop takes no lock at
-// all. A counting semaphore lets the consumer block (not spin) while the
-// queue is empty.
+// pops them. LockFreeMpscQueue is Vyukov's intrusive MPSC list with a
+// stub node (the SPDK spdk_ring / DPDK rte_ring family of idioms):
+// producers exchange the head pointer and link the previous node, the
+// consumer walks the tail. A message embeds its MpscNode, so Push
+// allocates nothing and pop frees nothing: the node belongs to whoever
+// pushed it, must stay alive until it is popped, and is never touched by
+// the queue again once popped, so its owner may push it anew. Push is one
+// atomic exchange + one release store; pop takes no lock at all. A
+// counting semaphore lets the consumer block (not spin) while the queue
+// is empty.
 //
 // Memory-ordering contract (the happens-before rule every shard message
 // relies on): everything the producer wrote before Push() is visible to
-// the consumer when WaitPop() returns that item — the release store of
+// the consumer when WaitPop() returns that node — the release store of
 // `prev->next` pairs with the consumer's acquire load, and the semaphore
 // release/acquire provides the same edge for the wakeup path. There is
-// no ordering ACROSS producers beyond each producer's own FIFO: two items
+// no ordering ACROSS producers beyond each producer's own FIFO: two nodes
 // pushed by different threads may pop in either order.
 
 #ifndef GECKOFTL_UTIL_MPSC_QUEUE_H_
@@ -23,80 +27,88 @@
 #include <atomic>
 #include <semaphore>
 #include <thread>
-#include <utility>
 
 namespace gecko {
 
-/// Vyukov-style lock-free MPSC queue. Producers contend only on one
-/// atomic exchange; the consumer owns the tail outright.
-template <typename T>
+/// The link a queued message embeds (derive from it).
+struct MpscNode {
+  std::atomic<MpscNode*> next{nullptr};
+};
+
+/// Vyukov-style intrusive lock-free MPSC queue. Producers contend only on
+/// one atomic exchange; the consumer owns the tail outright.
 class LockFreeMpscQueue {
  public:
-  LockFreeMpscQueue() {
-    Node* stub = new Node();
-    head_.store(stub, std::memory_order_relaxed);
-    tail_ = stub;
-  }
-
-  ~LockFreeMpscQueue() {
-    Node* node = tail_;
-    while (node != nullptr) {
-      Node* next = node->next.load(std::memory_order_relaxed);
-      delete node;
-      node = next;
-    }
-  }
+  LockFreeMpscQueue() : head_(&stub_), tail_(&stub_) {}
 
   LockFreeMpscQueue(const LockFreeMpscQueue&) = delete;
   LockFreeMpscQueue& operator=(const LockFreeMpscQueue&) = delete;
 
-  void Push(T item) {
-    Node* node = new Node(std::move(item));
-    // The exchange makes `node` the new head; linking the previous head's
-    // `next` (release) publishes the payload to the consumer's acquire
-    // load in TryPop — the queue's happens-before edge.
-    Node* prev = head_.exchange(node, std::memory_order_acq_rel);
-    prev->next.store(node, std::memory_order_release);
+  void Push(MpscNode* node) {
+    Link(node);
     ready_.release();
   }
 
-  T WaitPop() {
+  /// Blocks until a node is queued and pops it.
+  MpscNode* WaitPop() {
     ready_.acquire();
-    T item;
-    // The semaphore guarantees an item is logically in the queue, but a
-    // producer may be between its exchange and the next-pointer store
-    // (the transient "empty" window of Vyukov pop); spin it out.
-    while (!TryPopLinked(&item)) std::this_thread::yield();
-    return item;
+    return PopAnnounced();
   }
 
-  bool TryPop(T* out) {
-    if (!ready_.try_acquire()) return false;
-    while (!TryPopLinked(out)) std::this_thread::yield();
-    return true;
+  /// Pops a node, or returns nullptr when none is queued.
+  MpscNode* TryPop() {
+    if (!ready_.try_acquire()) return nullptr;
+    return PopAnnounced();
   }
 
  private:
-  struct Node {
-    Node() = default;
-    explicit Node(T v) : value(std::move(v)) {}
-    std::atomic<Node*> next{nullptr};
-    T value{};
-  };
-
-  /// Pops the node behind tail_ if its link is visible yet.
-  bool TryPopLinked(T* out) {
-    Node* next = tail_->next.load(std::memory_order_acquire);
-    if (next == nullptr) return false;
-    *out = std::move(next->value);
-    Node* old_tail = tail_;
-    tail_ = next;
-    delete old_tail;
-    return true;
+  /// The exchange makes `node` the new head; linking the previous head's
+  /// `next` (release) publishes the node to the consumer's acquire load
+  /// in PopLinked — the queue's happens-before edge.
+  void Link(MpscNode* node) {
+    node->next.store(nullptr, std::memory_order_relaxed);
+    MpscNode* prev = head_.exchange(node, std::memory_order_acq_rel);
+    prev->next.store(node, std::memory_order_release);
   }
 
-  alignas(64) std::atomic<Node*> head_;  // producers exchange here
-  alignas(64) Node* tail_;               // consumer-owned
+  /// The semaphore guarantees a node is logically queued, but a producer
+  /// may be between its exchange and the next-pointer store (the
+  /// transient "empty" window of Vyukov pop); spin it out.
+  MpscNode* PopAnnounced() {
+    MpscNode* node;
+    while ((node = PopLinked()) == nullptr) std::this_thread::yield();
+    return node;
+  }
+
+  /// Pops the node at the tail if its successor link is visible yet. The
+  /// stub keeps the list non-empty: it is skipped on the way out and
+  /// re-pushed when the consumer would otherwise take the last node.
+  MpscNode* PopLinked() {
+    MpscNode* tail = tail_;
+    MpscNode* next = tail->next.load(std::memory_order_acquire);
+    if (tail == &stub_) {
+      if (next == nullptr) return nullptr;
+      tail_ = next;
+      tail = next;
+      next = next->next.load(std::memory_order_acquire);
+    }
+    if (next != nullptr) {
+      tail_ = next;
+      return tail;
+    }
+    // `tail` is the last linked node. A producer that already exchanged
+    // the head has not linked it yet: come back once it has.
+    if (tail != head_.load(std::memory_order_acquire)) return nullptr;
+    Link(&stub_);
+    next = tail->next.load(std::memory_order_acquire);
+    if (next == nullptr) return nullptr;
+    tail_ = next;
+    return tail;
+  }
+
+  alignas(64) std::atomic<MpscNode*> head_;  // producers exchange here
+  alignas(64) MpscNode* tail_;               // consumer-owned
+  MpscNode stub_;
   std::counting_semaphore<> ready_{0};
 };
 

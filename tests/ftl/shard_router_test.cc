@@ -1,5 +1,6 @@
 // Shard-router unit tests: striping math round-trips, split/join
-// exactness against a direct per-extent model, and the kFlush fan-out.
+// exactness against a direct per-extent model, the kFlush fan-out, and
+// reuse of one SplitRequest across requests of different shapes.
 
 #include "ftl/shard_router.h"
 
@@ -60,13 +61,15 @@ TEST(ShardRouterTest, SplitPartitionsExtentsExactly) {
     for (int i = 0; i < n; ++i) {
       request.Add(static_cast<Lpn>(rng.Uniform(128)), 1000 + i);
     }
-    SplitRequest split = router.Split(request);
+    SplitRequest split;
+    router.Split(request, &split);
     EXPECT_TRUE(split.unrouted.empty());
     EXPECT_EQ(split.original_extents, request.extents.size());
     // Every extent appears in exactly one sub, on the right shard, with
     // the right local lpn and payload.
     std::vector<int> seen(request.extents.size(), 0);
-    for (const SplitRequest::Sub& sub : split.subs) {
+    for (size_t s = 0; s < split.num_subs; ++s) {
+      const SplitRequest::Sub& sub = split.subs[s];
       ASSERT_EQ(sub.request.op, request.op);
       ASSERT_EQ(sub.request.extents.size(), sub.extent_of.size());
       for (size_t j = 0; j < sub.extent_of.size(); ++j) {
@@ -85,8 +88,9 @@ TEST(ShardRouterTest, SplitPartitionsExtentsExactly) {
 
 TEST(ShardRouterTest, FlushFansOutToEveryShard) {
   ShardRouter router(MakeMap(4, 8, 32));
-  SplitRequest split = router.Split(IoRequest::Flush());
-  ASSERT_EQ(split.subs.size(), 4u);
+  SplitRequest split;
+  router.Split(IoRequest::Flush(), &split);
+  ASSERT_EQ(split.num_subs, 4u);
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(split.subs[s].shard, s);
     EXPECT_EQ(split.subs[s].request.op, IoOp::kFlush);
@@ -98,19 +102,20 @@ TEST(ShardRouterTest, OutOfRangeExtentsAreResolvedUnrouted) {
   ShardRouter router(MakeMap(2, 8, 32));  // capacity 64
   IoRequest request(IoOp::kWrite);
   request.Add(5, 1).Add(64, 2).Add(40, 3).Add(1000, 4);
-  SplitRequest split = router.Split(request);
+  SplitRequest split;
+  router.Split(request, &split);
   ASSERT_EQ(split.unrouted.size(), 2u);
   EXPECT_EQ(split.unrouted[0].first, 1u);
   EXPECT_EQ(split.unrouted[1].first, 3u);
   size_t routed = 0;
-  for (const SplitRequest::Sub& sub : split.subs) {
-    routed += sub.request.extents.size();
+  for (size_t s = 0; s < split.num_subs; ++s) {
+    routed += split.subs[s].request.extents.size();
   }
   EXPECT_EQ(routed, 2u);
 
   // Join scatters the pre-resolved statuses into place.
-  std::vector<IoResult> sub_results(split.subs.size());
-  for (size_t s = 0; s < split.subs.size(); ++s) {
+  std::vector<IoResult> sub_results(split.num_subs);
+  for (size_t s = 0; s < split.num_subs; ++s) {
     sub_results[s].extent_status.assign(split.subs[s].request.extents.size(),
                                         Status::Ok());
   }
@@ -129,8 +134,9 @@ TEST(ShardRouterTest, JoinScattersStatusesAndPayloadsToHostOrder) {
   IoRequest request(IoOp::kRead);
   // Shards: lpn/4 % 2 -> 0:[0..3], 1:[4..7], 0:[8..11], ...
   request.Add(0).Add(4).Add(8).Add(5);
-  SplitRequest split = router.Split(request);
-  ASSERT_EQ(split.subs.size(), 2u);
+  SplitRequest split;
+  router.Split(request, &split);
+  ASSERT_EQ(split.num_subs, 2u);
 
   std::vector<IoResult> sub_results(2);
   for (size_t s = 0; s < 2; ++s) {
@@ -157,12 +163,94 @@ TEST(ShardRouterTest, JoinScattersStatusesAndPayloadsToHostOrder) {
   EXPECT_EQ(out.extent_status[3].code(), StatusCode::kNotFound);
 }
 
+void ExpectSameSplit(const SplitRequest& got, const SplitRequest& want) {
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.original_extents, want.original_extents);
+  ASSERT_EQ(got.num_subs, want.num_subs);
+  for (size_t s = 0; s < want.num_subs; ++s) {
+    const SplitRequest::Sub& g = got.subs[s];
+    const SplitRequest::Sub& w = want.subs[s];
+    EXPECT_EQ(g.shard, w.shard);
+    EXPECT_EQ(g.request.op, w.request.op);
+    EXPECT_EQ(g.extent_of, w.extent_of);
+    ASSERT_EQ(g.request.extents.size(), w.request.extents.size());
+    for (size_t j = 0; j < w.request.extents.size(); ++j) {
+      EXPECT_EQ(g.request.extents[j].lpn, w.request.extents[j].lpn);
+      EXPECT_EQ(g.request.extents[j].payload, w.request.extents[j].payload);
+    }
+  }
+  ASSERT_EQ(got.unrouted.size(), want.unrouted.size());
+  for (size_t u = 0; u < want.unrouted.size(); ++u) {
+    EXPECT_EQ(got.unrouted[u].first, want.unrouted[u].first);
+  }
+}
+
+// One SplitRequest refilled by requests of different shapes: nothing of an
+// earlier split (sub, extent, extent index or unrouted entry) survives
+// into a later one, and Join ignores the stale subs past num_subs.
+TEST(ShardRouterTest, ReusedSplitKeepsNoStaleState) {
+  ShardRouter router(MakeMap(4, 8, 32));  // shard = (lpn / 8) % 4
+  IoRequest wide(IoOp::kRead);
+  wide.Add(0).Add(8).Add(16).Add(24).Add(500);  // shards 0-3, out of range
+  IoRequest narrow(IoOp::kRead);
+  narrow.Add(17).Add(49).Add(18).Add(81);  // all on shard 2
+
+  SplitRequest split;
+  router.Split(wide, &split);
+  ASSERT_EQ(split.num_subs, 4u);
+  ASSERT_EQ(split.unrouted.size(), 1u);
+
+  router.Split(narrow, &split);
+  SplitRequest fresh;
+  router.Split(narrow, &fresh);
+  ExpectSameSplit(split, fresh);
+  ASSERT_EQ(split.num_subs, 1u);
+  EXPECT_EQ(split.subs[0].shard, 2u);
+  EXPECT_EQ(split.subs[0].extent_of, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(split.unrouted.empty());
+
+  // The stale slots past num_subs carry failures; Join must not read them.
+  std::vector<IoResult> sub_results(split.subs.size());
+  for (size_t s = 0; s < sub_results.size(); ++s) {
+    if (s < split.num_subs) {
+      sub_results[s].extent_status.assign(4, Status::Ok());
+      sub_results[s].payloads = {10, 11, 12, 13};
+    } else {
+      sub_results[s].status = Status::Aborted("stale");
+      sub_results[s].extent_status = {Status::IoError("stale")};
+      sub_results[s].payloads = {99};
+    }
+  }
+  IoResult out;
+  ShardRouter::Join(split, sub_results, &out);
+  EXPECT_TRUE(out.AllOk()) << out.FirstError().ToString();
+  EXPECT_EQ(out.extent_status.size(), 4u);
+  EXPECT_EQ(out.payloads, (std::vector<uint64_t>{10, 11, 12, 13}));
+
+  router.Split(IoRequest::Flush(), &split);
+  ASSERT_EQ(split.num_subs, 4u);
+  EXPECT_EQ(split.original_extents, 0u);
+  EXPECT_TRUE(split.unrouted.empty());
+  for (uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(split.subs[s].shard, s);
+    EXPECT_EQ(split.subs[s].request.op, IoOp::kFlush);
+    EXPECT_TRUE(split.subs[s].request.extents.empty());
+    EXPECT_TRUE(split.subs[s].extent_of.empty());
+  }
+
+  router.Split(wide, &split);
+  SplitRequest fresh_wide;
+  router.Split(wide, &fresh_wide);
+  ExpectSameSplit(split, fresh_wide);
+}
+
 TEST(ShardRouterTest, AbortedSubPropagatesToWholeStatus) {
   ShardRouter router(MakeMap(2, 4, 16));
   IoRequest request(IoOp::kWrite);
   request.Add(0, 1).Add(4, 2);
-  SplitRequest split = router.Split(request);
-  ASSERT_EQ(split.subs.size(), 2u);
+  SplitRequest split;
+  router.Split(request, &split);
+  ASSERT_EQ(split.num_subs, 2u);
   std::vector<IoResult> sub_results(2);
   sub_results[0].extent_status = {Status::Ok()};
   sub_results[1].status = Status::Aborted("power failure");

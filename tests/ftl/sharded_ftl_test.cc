@@ -2,13 +2,16 @@
 // equivalence with the unsharded FTL, multi-shard shadow-model integrity,
 // cross-shard flush-barrier ordering, crash-during-fan-out abort
 // accounting, submit-time stamping, and concurrent submitters (the suite
-// the TSan CI job races).
+// the TSan CI job races); and, over a trivial in-RAM inner FTL, that a
+// warm front end allocates nothing per request.
 
 #include "ftl/sharded_ftl.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +20,32 @@
 
 #include "tests/ftl/ftl_test_util.h"
 #include "util/random.h"
+
+// Counts every heap allocation of this test binary, on every thread, so a
+// case can check that the front end's steady state allocates nothing. Not
+// inlined, so the compiler does not pair a new-expression with the free()
+// inside.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Sanitizer runtimes replace the array forms separately.
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace gecko {
 namespace {
@@ -495,6 +524,185 @@ TEST_P(ShardedFtlTest, DegradedShardFailsWritesWithoutStallingSiblings) {
   uint64_t got = 0;
   ASSERT_TRUE(sharded->Read(sibling_lpn, &got).ok());
   EXPECT_EQ(got, 778u);
+}
+
+/// A trivial in-RAM inner FTL: pages in a vector, no flash, results filled
+/// in place, so it allocates nothing per request and the front end's own
+/// allocations are all that the counter sees. While `gate` is false its
+/// worker holds every sub it executes, keeping the request in flight.
+class RamFtl : public Ftl {
+ public:
+  RamFtl(uint64_t lpns, const std::atomic<bool>* gate)
+      : pages_(lpns, 0), written_(lpns, false), gate_(gate) {}
+
+  Status Submit(IoRequest& request, IoResult* result) override {
+    while (!gate_->load(std::memory_order_acquire)) std::this_thread::yield();
+    result->Clear();
+    if (request.op == IoOp::kFlush) {
+      ++counters_.flushes;
+      return Status::Ok();
+    }
+    const size_t n = request.extents.size();
+    result->extent_status.assign(n, Status::Ok());
+    if (request.op == IoOp::kRead) result->payloads.assign(n, 0);
+    for (size_t j = 0; j < n; ++j) {
+      const IoExtent& extent = request.extents[j];
+      if (extent.lpn >= pages_.size()) {
+        result->extent_status[j] = Status::InvalidArgument("range");
+        continue;
+      }
+      switch (request.op) {
+        case IoOp::kWrite:
+          pages_[extent.lpn] = extent.payload;
+          written_[extent.lpn] = true;
+          ++counters_.writes;
+          break;
+        case IoOp::kRead:
+          ++counters_.reads;
+          if (written_[extent.lpn]) {
+            result->payloads[j] = pages_[extent.lpn];
+          } else {
+            result->extent_status[j] = Status::NotFound("unwritten");
+          }
+          break;
+        case IoOp::kTrim:
+          written_[extent.lpn] = false;
+          ++counters_.trims;
+          break;
+        case IoOp::kFlush:
+          break;
+      }
+    }
+    return Status::Ok();
+  }
+  Status SubmitAsync(IoRequest&&, CompletionCb) override {
+    return Status::FailedPrecondition("sync only");
+  }
+  uint64_t Poll() override { return 0; }
+  uint64_t DrainAsync() override { return 0; }
+  uint32_t InFlightRequests() const override { return 0; }
+  RecoveryReport CrashAndRecover() override { return RecoveryReport(); }
+  uint64_t RamBytes() const override { return 0; }
+  bool ForceGc() override { return false; }
+  const FtlCounters& counters() const override { return counters_; }
+  const char* Name() const override { return "RamFtl"; }
+
+ private:
+  std::vector<uint64_t> pages_;
+  std::vector<bool> written_;
+  const std::atomic<bool>* gate_;
+  FtlCounters counters_;
+};
+
+/// Callback tallies, bumped on worker threads.
+struct Tally {
+  std::atomic<uint64_t> callbacks{0};
+  std::atomic<uint64_t> bad{0};  // whole-request failure or wrong width
+};
+
+// A warm front end allocates nothing per request: its request records,
+// splits, sub-results, joined results and queue nodes are all reused. The
+// pool is warmed to its full depth first (the gate holds `depth` reads in
+// flight at once), then 10,000 mixed requests, never more than `depth` in
+// flight, must allocate 0 times on any thread. Every non-flush request
+// puts two extents on each shard, so one warm-up read per record grows
+// every vector it will need.
+TEST(ShardedFtlAllocationTest, WarmFrontEndAllocatesNothing) {
+  for (uint32_t num_shards : {2u, 4u}) {
+    SCOPED_TRACE("num_shards " + std::to_string(num_shards));
+    std::atomic<bool> gate{true};
+    ShardedFtlOptions options;
+    options.geometry = FtlTestGeometry(4);
+    options.num_shards = num_shards;
+    options.config.async_queue_depth = 4;
+    const uint32_t depth = num_shards * options.config.async_queue_depth;
+    ShardedFtl sharded(options, [&gate](FlashDevice* device, const FtlConfig&) {
+      return std::make_unique<RamFtl>(device->geometry().NumLogicalPages(),
+                                      &gate);
+    });
+    const ShardMap& map = sharded.shard_map();
+    const size_t width = 2 * num_shards;
+
+    Rng rng(43 + num_shards);
+    auto make_request = [&](IoOp op) {
+      IoRequest request(op);
+      if (op == IoOp::kFlush) return request;
+      for (uint32_t k = 0; k < width; ++k) {
+        const Lpn local = rng.Uniform(map.lpns_per_shard);
+        request.Add(map.GlobalLpn(k % num_shards, local),
+                    rng.Uniform(1u << 20));
+      }
+      // Shuffled, so the shards' first-touch order (their sub slots)
+      // changes from request to request.
+      for (size_t k = width; k > 1; --k) {
+        std::swap(request.extents[k - 1],
+                  request.extents[rng.Uniform(k)]);
+      }
+      return request;
+    };
+    std::vector<IoRequest> requests;
+    const IoOp kOps[] = {IoOp::kWrite, IoOp::kWrite, IoOp::kRead,
+                         IoOp::kRead,  IoOp::kRead,  IoOp::kTrim,
+                         IoOp::kFlush};
+    for (int i = 0; i < 10000; ++i) {
+      requests.push_back(make_request(kOps[rng.Uniform(7)]));
+    }
+    IoRequest warm_read = make_request(IoOp::kRead);
+
+    Tally tally;
+    auto on_complete = [tally_ptr = &tally, width](const IoResult& result,
+                                                   const AsyncCompletion&) {
+      const bool flush = result.extent_status.empty();
+      if (!result.status.ok() ||
+          (!flush && result.extent_status.size() != width)) {
+        tally_ptr->bad.fetch_add(1, std::memory_order_relaxed);
+      }
+      tally_ptr->callbacks.fetch_add(1, std::memory_order_relaxed);
+    };
+    IoRequest scratch;
+    IoResult sync_result;
+
+    // Warm-up: with the gate shut no sub completes, so `depth` async reads
+    // hold `depth` records at once; a sync read warms `sync_result`. (No
+    // ASSERT while the gate is shut: the destructor would wait forever.)
+    gate.store(false, std::memory_order_release);
+    for (uint32_t i = 0; i < depth; ++i) {
+      scratch = warm_read;
+      EXPECT_TRUE(sharded.SubmitAsync(std::move(scratch), on_complete).ok());
+    }
+    gate.store(true, std::memory_order_release);
+    sharded.DrainAsync();
+    ASSERT_TRUE(sharded.Submit(warm_read, &sync_result).ok());
+    scratch = warm_read;
+    uint64_t async_submitted = depth;
+
+    const uint64_t before = g_allocations.load();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      while (sharded.InFlightRequests() >= depth) std::this_thread::yield();
+      IoRequest& request = requests[i];
+      if (i % 9 == 4) {
+        ASSERT_TRUE(sharded.Submit(request, &sync_result).ok());
+        EXPECT_EQ(sync_result.extent_status.size(), request.extents.size());
+        continue;
+      }
+      scratch.op = request.op;
+      scratch.extents.assign(request.extents.begin(), request.extents.end());
+      Status s = i % 5 == 0 ? sharded.SubmitAsyncAt(std::move(scratch),
+                                                    static_cast<double>(i),
+                                                    on_complete)
+                            : sharded.SubmitAsync(std::move(scratch),
+                                                  on_complete);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ++async_submitted;
+    }
+    sharded.DrainAsync();
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+
+    EXPECT_EQ(tally.callbacks.load(), async_submitted);
+    EXPECT_EQ(tally.bad.load(), 0u);
+    EXPECT_EQ(sharded.stats().completed_requests,
+              requests.size() + depth + 1);
+  }
 }
 
 }  // namespace
